@@ -1,8 +1,12 @@
 """Concrete finite-dimensional algebras given by structure constants.
 
-Instances corroborate the symbolic layer: relation checking evaluates every
-basis relation on every ordered basis triple, and tensor instances are
-assembled from a mixed product's coefficients.
+Instances corroborate the symbolic layer.  Each algebra A has a relation
+module Rel(A), the regular relations that vanish on every basis triple, so
+A satisfies P exactly when R_P lies in Rel(A); the counterexample search
+decides tensor products from these modules alone.  Relation checking, which
+evaluates every basis relation on every ordered basis triple, and tensor
+instances assembled from a mixed product's coefficients remain as the
+direct route that recovers a witness triple.
 """
 
 from __future__ import annotations
@@ -11,17 +15,17 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .foundation import Vector, span
-from .operad_calculus import RelationModule
-from .tensor_closure import E2, PAIR_KEYS, SWAP, MixedProduct
+from .operad_calculus import RelationModule, _kernel
+from .tensor_closure import PAIR_KEYS, SWAP, MixedProduct, closure_holds
 from .weight_spaces import (
     ANTICOMMUTATIVE,
-    COMMUTATIVE,
     LEFT,
     MONOMIALS,
     REGULAR,
+    RIGHT,
     Monomial3,
     Weight3Element,
     lift,
@@ -50,6 +54,12 @@ class AlgebraInstance:
         """Build from sparse (i, j, k, value) entries, 1-based indices."""
         c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
         for i, j, k, value in entries:
+            if not all(isinstance(x, int) and 1 <= x <= dim
+                       for x in (i, j, k)):
+                raise ValueError(
+                    f"structure entry ({i}, {j}, {k}, {value}) needs "
+                    f"indices in 1..{dim}"
+                )
             c[i - 1][j - 1][k - 1] += Fraction(value)
         return cls(
             dim,
@@ -148,7 +158,12 @@ def check_relations(alg: AlgebraInstance,
         relations = [lift(x) for x in r.basis_elements()]
     else:
         relations = r.basis_elements()
-    violations = []
+    return list(_violations(alg, relations))
+
+
+def _violations(alg: AlgebraInstance,
+                relations: Sequence[Weight3Element]) -> Iterator[Violation]:
+    """Regular relations failing on basis triples, relation by relation."""
     basis = [alg.basis_vector(i) for i in range(alg.dim)]
     for x in relations:
         support = [m for m in MONOMIALS if x.coords[m.index] != 0]
@@ -162,19 +177,65 @@ def check_relations(alg: AlgebraInstance,
                     if val[k] != 0:
                         total[k] += c * val[k]
             if any(v != 0 for v in total):
-                violations.append(
-                    Violation(x, tuple(t + 1 for t in triple_idx),
-                              tuple(total))
-                )
-    return violations
+                yield Violation(x, tuple(t + 1 for t in triple_idx),
+                                tuple(total))
+
+
+def algebra_relations(alg: AlgebraInstance) -> RelationModule:
+    """Rel(A): the regular relations that vanish on every basis triple.
+
+    Rel(A) is the left kernel of the 12 x n^4 evaluation matrix, whose
+    column (a, b, c, k) holds coordinate k of each monomial evaluated on
+    (e_a, e_b, e_c).  All-zero and repeated columns leave that kernel
+    unchanged, so they are dropped before the one elimination.  The set of
+    basis triples is closed under permutation, so Rel(A) is
+    Sigma_3-invariant.
+    """
+    n = alg.dim
+    # Sparse basis products: e_i e_j as {k: coefficient}.
+    prod = [[{k: v for k, v in enumerate(alg.structure[i][j]) if v}
+             for j in range(n)] for i in range(n)]
+
+    def times(u: dict, v: dict) -> dict:
+        out: dict = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                for k, c in prod[i][j].items():
+                    out[k] = out.get(k, 0) + a * b * c
+        return out
+
+    unit = [{i: 1} for i in range(n)]
+    triples = list(itertools.product(range(n), repeat=3))
+    values = {
+        LEFT: {t: times(prod[t[0]][t[1]], unit[t[2]]) for t in triples},
+        RIGHT: {t: times(unit[t[0]], prod[t[1]][t[2]]) for t in triples},
+    }
+    columns = set()
+    for abc in triples:
+        evals = [values[m.shape][tuple(abc[l - 1] for l in m.labels)]
+                 for m in MONOMIALS]
+        for k in set().union(*evals):
+            columns.add(tuple(e.get(k, 0) for e in evals))
+    columns.discard((0,) * 12)
+    return RelationModule(REGULAR, _kernel(span(columns, 12)))
 
 
 def satisfies(alg: AlgebraInstance, r: RelationModule) -> bool:
-    """check_relations wrapper that treats a symmetry mismatch as failure."""
-    try:
-        return not check_relations(alg, r)
-    except ValueError:
+    """Does A satisfy r, that is, is R_P inside Rel(A)?
+
+    A symmetric-class module also needs the product to be (anti)commutative;
+    its relations are then tested through their regular lifts.
+    """
+    return _satisfied(alg, algebra_relations(alg), r)
+
+
+def _satisfied(alg: AlgebraInstance, rel: RelationModule,
+               r: RelationModule) -> bool:
+    if r.symmetry is REGULAR:
+        return r.space.is_subspace_of(rel.space)
+    if commutativity_violations(alg, anti=r.symmetry is ANTICOMMUTATIVE):
         return False
+    return all(rel.contains(lift(x)) for x in r.basis_elements())
 
 
 def tensor_instance(a: AlgebraInstance, b: AlgebraInstance,
@@ -239,7 +300,7 @@ def _fixtures() -> dict[str, AlgebraInstance]:
         3, [(1, 1, 2, 1), (1, 2, 3, 1), (2, 1, 3, 2)], "zinbiel_3d"
     )
     # A Lie bracket satisfies the one-operation Poisson identity (zero
-    # commutative part); validated at import time below.
+    # commutative part).
     out["poisson_heisenberg"] = AlgebraInstance.from_entries(
         3, [(1, 2, 3, 1), (2, 1, 3, -1)], "poisson_heisenberg"
     )
@@ -265,24 +326,6 @@ def example(name: str) -> AlgebraInstance:
 
 def example_names() -> list[str]:
     return sorted(_CATALOG)
-
-
-def _validate_catalog():
-    from .operad_calculus import preset, tilde
-
-    poiss = preset("poiss").relations
-    for name in ("poisson_heisenberg", "poisson_unital_4d"):
-        bad = check_relations(_CATALOG[name], poiss)
-        if bad:
-            raise AssertionError(f"{name} is not a Poisson-type instance")
-    leib = preset("leib").relations
-    for name in ("leibniz_3d", "leib_tilde_3d"):
-        bad = check_relations(_CATALOG[name], leib)
-        if bad and name == "leibniz_3d":
-            raise AssertionError("leibniz_3d fails the defining relation")
-
-
-_validate_catalog()
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +361,27 @@ def search_counterexample(r_a: RelationModule, r_b: RelationModule,
 
     Candidates come from the fixture catalog first and then from seeded
     random nilpotent structure constants; absence of a witness within the
-    budget proves nothing.
+    budget proves nothing.  The targets must be regular-class relations.
+
+    Each candidate's relation module Rel(A) is computed once and interned,
+    and each distinct (Rel(A), Rel(B)) pair is decided once by
+    `closure_holds`: the kernel of ev_A (x) ev_B is
+    Rel(A) (x) Gamma + Gamma (x) Rel(B), so a target holds on A (x) B
+    exactly when its expansion lies there, and no tensor product is built.
+    Pairs are visited in candidate order, and only the first failing pair
+    is tensored, its first violation in `check_relations` order becoming
+    the witness; so a seed reports the same witness as evaluating every
+    tensor product would.
     """
-    if max_dim > 4:
-        raise ValueError("max_dim is capped at 4")
+    if not 2 <= max_dim <= 4:
+        raise ValueError(f"max_dim must be between 2 and 4, got {max_dim}")
+    if any(t.symmetry is not REGULAR for t in targets):
+        raise ValueError("search targets must be regular-class relations")
     targets = [t for t in targets if not t.is_zero()]
     if not targets:
         return None
-    target_module = RelationModule(
-        REGULAR, span([t.coords for t in targets], 12)
-    ) if all(t.symmetry is REGULAR for t in targets) else None
+    target_basis = [Weight3Element(REGULAR, b)
+                    for b in span([t.coords for t in targets], 12).basis]
     rng = random.Random(seed)
     candidates_a = [a for a in _CATALOG.values() if a.dim <= max_dim]
     candidates_b = list(candidates_a)
@@ -338,21 +392,29 @@ def search_counterexample(r_a: RelationModule, r_b: RelationModule,
         candidates_b.append(
             _random_nilpotent(rng.randint(2, max_dim), rng, "random")
         )
-    lefts = [a for a in candidates_a if satisfies(a, r_a)]
-    rights = [b for b in candidates_b if satisfies(b, r_b)]
-    for a in lefts:
-        for b in rights:
+    ids: dict[RelationModule, int] = {}
+
+    def accepted(candidates, r):
+        out = []
+        for alg in candidates:
+            rel = algebra_relations(alg)
+            if _satisfied(alg, rel, r):
+                out.append((alg, ids.setdefault(rel, len(ids))))
+        return out
+
+    lefts = accepted(candidates_a, r_a)
+    rights = accepted(candidates_b, r_b)
+    modules = list(ids)
+    closed = set()
+    for a, i in lefts:
+        for b, j in rights:
+            if (i, j) in closed:
+                continue
+            holds, _ = closure_holds(modules[i], modules[j],
+                                     MixedProduct.identity(), target_basis)
+            if holds:
+                closed.add((i, j))
+                continue
             t = tensor_instance(a, b, MixedProduct.identity())
-            if target_module is not None:
-                bad = check_relations(t, target_module)
-            else:
-                bad = []
-                for tgt in targets:
-                    mod = RelationModule(
-                        tgt.symmetry,
-                        span([tgt.coords], tgt.symmetry.dim),
-                    )
-                    bad.extend(check_relations(t, mod))
-            if bad:
-                return Counterexample(a, b, bad[0])
+            return Counterexample(a, b, next(_violations(t, target_basis)))
     return None

@@ -1,9 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from operad_forge import algebra_instances
 from operad_forge.algebra_instances import (
     AlgebraInstance,
+    Counterexample,
+    algebra_relations,
     check_relations,
     commutativity_violations,
     example,
@@ -12,10 +18,17 @@ from operad_forge.algebra_instances import (
     search_counterexample,
     tensor_instance,
 )
-from operad_forge.operad_calculus import preset, tilde, zero_module
+from operad_forge.foundation import span
+from operad_forge.operad_calculus import (
+    RelationModule,
+    full_module,
+    preset,
+    tilde,
+    zero_module,
+)
 from operad_forge.relation_dsl import parse_relation
-from operad_forge.tensor_closure import MixedProduct
-from operad_forge.weight_spaces import REGULAR
+from operad_forge.tensor_closure import PAIR_KEYS, MixedProduct, closure_holds
+from operad_forge.weight_spaces import REGULAR, Weight3Element
 
 
 def test_instance_construction_and_product():
@@ -30,6 +43,16 @@ def test_instance_shape_validation():
         AlgebraInstance(2, ((), ()))
     with pytest.raises(ValueError):
         AlgebraInstance.from_entries(0, [])
+
+
+@pytest.mark.parametrize("entry", [
+    (0, 1, 1, 1), (1, 3, 1, 1), (1, 1, -1, 1), ("1", 1, 1, 1),
+])
+def test_entry_indices_outside_the_basis_are_rejected(entry):
+    with pytest.raises(ValueError) as err:
+        AlgebraInstance.from_entries(2, [entry])
+    assert "entry ({}, {}, {}, {})".format(*entry) in str(err.value)
+    assert "indices in 1..2" in str(err.value)
 
 
 def test_json_round_trip():
@@ -64,6 +87,34 @@ def test_fixtures_satisfy_their_presets():
     for alg_name, preset_name in pairs:
         assert satisfies(example(alg_name), preset(preset_name).relations), \
             (alg_name, preset_name)
+
+
+def test_catalog_validates_by_direct_evaluation():
+    # The defining identities of the Poisson-type and Leibniz fixtures,
+    # checked on every basis triple rather than through Rel(A).
+    for name in ("poisson_heisenberg", "poisson_unital_4d"):
+        assert check_relations(example(name), preset("poiss").relations) \
+            == [], name
+    assert check_relations(example("leibniz_3d"),
+                           preset("leib").relations) == []
+
+
+def test_algebra_relations_of_fixtures():
+    # A nilpotent algebra whose triple products vanish satisfies everything.
+    assert algebra_relations(example("heisenberg")) == full_module(REGULAR)
+    rel = algebra_relations(example("comm_assoc_2d"))
+    assert preset("ass").relations.space.is_subspace_of(rel.space)
+    assert not preset("zinb").relations.space.is_subspace_of(rel.space)
+    # Rel(A) passes check_relations, and a monomial outside it fails.
+    for name in example_names():
+        alg = example(name)
+        rel = algebra_relations(alg)
+        assert check_relations(alg, rel) == [], name
+        for c in rel.space.complement_columns():
+            unit = [0] * 12
+            unit[c] = 1
+            assert check_relations(
+                alg, RelationModule(REGULAR, span([unit], 12))), (name, c)
 
 
 def test_leib_tilde_fixture():
@@ -155,8 +206,101 @@ def test_search_counterexample_zero_targets():
 
 
 def test_search_counterexample_dim_cap():
-    with pytest.raises(ValueError):
-        search_counterexample(
-            preset("leib").relations, preset("zinb").relations,
-            preset("leib").relations.basis_elements(), max_dim=9,
-        )
+    for max_dim in (9, 5, 1, 0, -1):
+        with pytest.raises(ValueError, match="between 2 and 4"):
+            search_counterexample(
+                preset("leib").relations, preset("zinb").relations,
+                preset("leib").relations.basis_elements(), max_dim=max_dim,
+            )
+
+
+def test_search_counterexample_rejects_symmetric_targets():
+    lie = preset("lie").relations
+    with pytest.raises(ValueError, match="regular-class"):
+        search_counterexample(lie, lie, lie.basis_elements(), max_dim=2)
+
+
+def test_exhaustive_closed_search_finds_nothing():
+    # ass x ass is symbolically closed, so the default budget is searched
+    # to the end; deciding each distinct Rel pair once keeps it to seconds.
+    ass = preset("ass").relations
+    assert search_counterexample(ass, ass, ass.basis_elements(),
+                                 max_dim=2) is None
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the Rel(A) route against direct evaluation.
+
+
+def _satisfies_by_evaluation(alg, r):
+    try:
+        return not check_relations(alg, r)
+    except ValueError:
+        return False
+
+
+def _reference_search(r_a, r_b, targets, max_dim, seed, budget):
+    """The brute-force search: evaluate the targets on every tensor product."""
+    targets = [t for t in targets if not t.is_zero()]
+    target_module = RelationModule(
+        REGULAR, span([t.coords for t in targets], 12))
+    rng = random.Random(seed)
+    candidates_a = [a for a in algebra_instances._CATALOG.values()
+                    if a.dim <= max_dim]
+    candidates_b = list(candidates_a)
+    for _ in range(budget):
+        candidates_a.append(algebra_instances._random_nilpotent(
+            rng.randint(2, max_dim), rng, "random"))
+        candidates_b.append(algebra_instances._random_nilpotent(
+            rng.randint(2, max_dim), rng, "random"))
+    lefts = [a for a in candidates_a if _satisfies_by_evaluation(a, r_a)]
+    rights = [b for b in candidates_b if _satisfies_by_evaluation(b, r_b)]
+    for a in lefts:
+        for b in rights:
+            t = tensor_instance(a, b, MixedProduct.identity())
+            bad = check_relations(t, target_module)
+            if bad:
+                return Counterexample(a, b, bad[0])
+    return None
+
+
+@pytest.mark.parametrize("p,q", [("leib", "zinb"), ("poiss", "poiss"),
+                                 ("ass", "ass")])
+@pytest.mark.parametrize("max_dim", [2, 3])
+def test_search_matches_brute_force_reference(p, q, max_dim):
+    r_p, r_q = preset(p).relations, preset(q).relations
+    for seed in (0, 1):
+        args = (r_p, r_q, r_p.basis_elements(), max_dim, seed, 2)
+        assert search_counterexample(*args) == _reference_search(*args), \
+            (p, q, max_dim, seed)
+
+
+def _small_algebras(dim):
+    indices = st.integers(1, dim)
+    entry = st.tuples(indices, indices, indices, st.integers(-2, 2))
+    return st.lists(entry, max_size=4).map(
+        lambda es: AlgebraInstance.from_entries(dim, es))
+
+
+_algebra_pairs = st.sampled_from(
+    [(m, n) for m in (1, 2, 3) for n in (1, 2, 3) if m * n <= 6]
+).flatmap(lambda d: st.tuples(_small_algebras(d[0]), _small_algebras(d[1])))
+
+_mixed_products = st.lists(
+    st.integers(-2, 2), min_size=4, max_size=4
+).map(lambda cs: MixedProduct.from_dict(dict(zip(PAIR_KEYS, cs))))
+
+_relations = st.lists(
+    st.integers(-1, 1), min_size=12, max_size=12
+).map(lambda cs: Weight3Element(REGULAR, tuple(map(Fraction, cs))))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_algebra_pairs, _mixed_products, _relations)
+def test_closure_on_relation_modules_matches_tensor_evaluation(ab, mu, r):
+    a, b = ab
+    holds, _ = closure_holds(algebra_relations(a), algebra_relations(b),
+                             mu, [r])
+    t = tensor_instance(a, b, mu)
+    bad = check_relations(t, RelationModule(REGULAR, span([r.coords], 12)))
+    assert holds == (not bad)

@@ -160,6 +160,20 @@ def test_instance_check_fail(tmp_path, capsys):
     assert "verified: false" in out
 
 
+@pytest.mark.parametrize("index", [0, 4])
+def test_instance_check_index_outside_basis_exits_2(tmp_path, capsys, index):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 3,
+                                "structure": [[1, index, 2, "1"]]}))
+    code, out, err = _run(capsys, "instance", "check", str(path),
+                          "--operad", "leib")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: structure entry (1, ")
+    assert "indices in 1..3" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_instance_tensor(tmp_path, capsys):
     a = _write_instance(tmp_path, "lie_nonabelian_2d")
     b = _write_instance(tmp_path, "zinbiel_3d")
@@ -183,6 +197,19 @@ def test_search_counterexample(capsys):
                         "--q", "zinb", "--max-dim", "3")
     assert code == 0
     assert "violating triple" in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--p", "leib", "--q", "zinb", "--max-dim", "1"), "between 2 and 4"),
+    (("--p", "lie", "--q", "lie", "--max-dim", "2"), "regular-class"),
+    (("--p", "com", "--q", "ass", "--max-dim", "2"), "regular-class"),
+])
+def test_search_counterexample_bad_input_exits_2(capsys, argv, message):
+    code, out, err = _run(capsys, "search", "counterexample", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_report_matches_golden(capsys):
