@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .foundation import Vector, span
-from .operad_calculus import RelationModule, _kernel
+from .foundation import Vector, kernel, span
+from .operad_calculus import RelationModule
 from .tensor_closure import PAIR_KEYS, SWAP, MixedProduct, closure_holds
 from .weight_spaces import (
     ANTICOMMUTATIVE,
@@ -60,7 +60,13 @@ class AlgebraInstance:
                     f"structure entry ({i}, {j}, {k}, {value}) needs "
                     f"indices in 1..{dim}"
                 )
-            c[i - 1][j - 1][k - 1] += Fraction(value)
+            try:
+                c[i - 1][j - 1][k - 1] += Fraction(value)
+            except (ZeroDivisionError, ValueError, TypeError):
+                raise ValueError(
+                    f"structure entry ({i}, {j}, {k}, {value}) needs a "
+                    f"rational coefficient"
+                ) from None
         return cls(
             dim,
             tuple(tuple(tuple(v) for v in row) for row in c),
@@ -103,10 +109,7 @@ class AlgebraInstance:
 
     @classmethod
     def from_json(cls, data: dict, name=None) -> "AlgebraInstance":
-        entries = [
-            (i, j, k, Fraction(v)) for i, j, k, v in data["structure"]
-        ]
-        return cls.from_entries(int(data["dim"]), entries, name)
+        return cls.from_entries(int(data["dim"]), data["structure"], name)
 
 
 @dataclass(frozen=True)
@@ -217,7 +220,7 @@ def algebra_relations(alg: AlgebraInstance) -> RelationModule:
         for k in set().union(*evals):
             columns.add(tuple(e.get(k, 0) for e in evals))
     columns.discard((0,) * 12)
-    return RelationModule(REGULAR, _kernel(span(columns, 12)))
+    return RelationModule(REGULAR, kernel(span(columns, 12)))
 
 
 def satisfies(alg: AlgebraInstance, r: RelationModule) -> bool:

@@ -14,6 +14,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .algebra_instances import (
@@ -22,9 +23,10 @@ from .algebra_instances import (
     search_counterexample,
     tensor_instance,
 )
-from .foundation import combine, span
-from .group_module import PERMS
+from .foundation import combine, full_space, span
+from .group_module import apply_idempotent
 from .operad_calculus import (
+    PRESET_NAMES,
     QuadraticOperad,
     RelationModule,
     dual,
@@ -49,7 +51,6 @@ from .weight_spaces import (
     ANTICOMMUTATIVE,
     COMMUTATIVE,
     REGULAR,
-    SymmetryClass,
     act_vector,
 )
 
@@ -133,7 +134,8 @@ def _emit(report: Report, as_json: bool) -> int:
 
 
 def _load_operad(token: str) -> QuadraticOperad:
-    if os.path.exists(token) or token.endswith(".json"):
+    if token not in PRESET_NAMES and (
+            os.path.exists(token) or token.endswith(".json")):
         with open(token, encoding="utf-8") as fh:
             data = json.load(fh)
         return operad_from_definition(data)
@@ -144,10 +146,6 @@ def _load_instance(path: str) -> AlgebraInstance:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     return AlgebraInstance.from_json(data, name=os.path.basename(path))
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("OPERAD_FORGE_SEED", "0"))
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +234,6 @@ def _cmd_show(args) -> int:
         cmp_sec.rows.append(["tilde equals dual", str(same).lower()])
         report.sections.append(cmp_sec)
     return _emit(report, args.json)
-
-
-def _cmd_tilde(args) -> int:
-    args.dual = False
-    args.rank = False
-    args.orbits = False
-    args.isotypic = False
-    args.tilde = True
-    return _cmd_show(args)
 
 
 def _theorem1_names() -> list[str]:
@@ -472,39 +461,6 @@ def _family_sweep_section(seed: int) -> Section:
     return s
 
 
-def _isotypic_pieces(symmetry: SymmetryClass):
-    """The trivial, sign, and standard components of a 3-dim weight space."""
-    n = symmetry.dim
-    units = [
-        tuple(Fraction(1 if j == i else 0) for j in range(n))
-        for i in range(n)
-    ]
-    triv_rows, sgn_rows, std_rows = [], [], []
-    for u in units:
-        images = [act_vector(symmetry, sigma, u) for sigma in PERMS]
-        triv = tuple(
-            sum((img[i] for img in images), Fraction(0)) / 6
-            for i in range(n)
-        )
-        sgn = tuple(
-            sum(
-                (sigma.sign() * img[i]
-                 for sigma, img in zip(PERMS, images)),
-                Fraction(0),
-            ) / 6
-            for i in range(n)
-        )
-        std = tuple(u[i] - triv[i] - sgn[i] for i in range(n))
-        triv_rows.append(triv)
-        sgn_rows.append(sgn)
-        std_rows.append(std)
-    return [
-        ("trivial", span(triv_rows, n)),
-        ("sign", span(sgn_rows, n)),
-        ("standard", span(std_rows, n)),
-    ]
-
-
 def _known_symmetric_label(p: QuadraticOperad) -> str:
     for name in ("lie", "com"):
         if operads_equal(p, preset(name)):
@@ -523,10 +479,15 @@ def _symmetric_enumeration_section(seed: int) -> Section:
          "dual class", "dual dim", "tilde = dual"],
     )
     for symmetry in (COMMUTATIVE, ANTICOMMUTATIVE):
-        pieces = [
-            (name, sp) for name, sp in _isotypic_pieces(symmetry)
-            if sp.dim > 0
-        ]
+        units = full_space(symmetry.dim).basis
+        action = partial(act_vector, symmetry)
+        pieces = []
+        for name, kind in (("trivial", "triv"), ("sign", "sgn"),
+                           ("standard", "std")):
+            sp = span([apply_idempotent(kind, action, u) for u in units],
+                      symmetry.dim)
+            if sp.dim > 0:
+                pieces.append((name, sp))
         for mask in range(2 ** len(pieces)):
             chosen = [pieces[i] for i in range(len(pieces))
                       if mask & (1 << i)]
@@ -641,7 +602,7 @@ def _cmd_report(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--seed", type=int, default=_default_seed(),
+        "--seed", type=int, default=os.environ.get("OPERAD_FORGE_SEED", "0"),
         help="seed for presentation/search randomness "
         "(default: OPERAD_FORGE_SEED or 0)",
     )
@@ -669,7 +630,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tilde = sub.add_parser("tilde", help="display the companion operad",
                              parents=[common])
     p_tilde.add_argument("operad", help="preset name or definition file")
-    p_tilde.set_defaults(func=_cmd_tilde)
+    p_tilde.set_defaults(func=_cmd_show, tilde=True, dual=False, rank=False,
+                         orbits=False, isotypic=False)
 
     p_verify = sub.add_parser("verify", help="run a verification sweep")
     v_sub = p_verify.add_subparsers(dest="what", required=True)

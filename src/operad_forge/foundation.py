@@ -23,23 +23,6 @@ def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
 
 
-def add(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def sub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def scale(c, v: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
-
-
 def is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
@@ -158,31 +141,20 @@ def combine(s: Subspace, t: Subspace, mode: str) -> Subspace:
     if mode == "sum":
         return span(list(s.basis) + list(t.basis), s.ambient_dim)
     if mode == "intersection":
-        return _intersection(s, t)
+        # S ∩ T = (S^⊥ + T^⊥)^⊥
+        return kernel(span(kernel(s).basis + kernel(t).basis, s.ambient_dim))
     raise ValueError(f"unknown mode: {mode!r}")
 
 
-def _intersection(s: Subspace, t: Subspace) -> Subspace:
-    # Kernel method: x in S∩T iff x = c·S_basis and x reduces to 0 mod T.
-    # Solve for combinations c with S_basis^T c in T.
-    n = s.ambient_dim
-    if s.dim == 0 or t.dim == 0:
-        return span([], n)
-    # Rows: [c | residual], residual = reduce of combination; find kernel of
-    # the map c -> reduce_T(sum c_i b_i) by row-reducing the stacked system.
-    residuals = [t.reduce(b) for b in s.basis]
-    # Augment: [residual | identity] and read combinations with zero residual.
-    aug = [
-        list(residuals[i]) + [Fraction(1 if j == i else 0) for j in range(s.dim)]
-        for i in range(s.dim)
-    ]
-    reduced = rref(aug)
-    members = []
-    for row in reduced:
-        if all(e == 0 for e in row[:n]):
-            coeffs = row[n:]
-            v = zero_vector(n)
-            for c, b in zip(coeffs, s.basis):
-                v = add(v, scale(c, b))
-            members.append(v)
-    return span(members, n)
+def kernel(row_space: Subspace) -> Subspace:
+    """Kernel of the matrix whose rows are the RREF basis of row_space."""
+    n = row_space.ambient_dim
+    pivots = row_space.pivot_columns()
+    basis = []
+    for f in row_space.complement_columns():
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for row, p in zip(row_space.basis, pivots):
+            v[p] = -row[f]
+        basis.append(tuple(v))
+    return span(basis, n)

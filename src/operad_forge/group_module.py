@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from .foundation import Subspace, Vector, span, vec
 
@@ -113,20 +113,6 @@ class GroupVector:
         c = Fraction(c)
         return GroupVector(tuple(c * a for a in self.coeffs))
 
-    def __mul__(self, other: "GroupVector") -> "GroupVector":
-        """Group-algebra convolution product."""
-        out = {p: Fraction(0) for p in PERMS}
-        for p in PERMS:
-            a = self[p]
-            if a == 0:
-                continue
-            for q in PERMS:
-                b = other[q]
-                if b == 0:
-                    continue
-                out[p * q] += a * b
-        return GroupVector.from_dict(out)
-
     def translate(self, p: Perm3) -> "GroupVector":
         """Left translation p·v, the natural action on the group algebra."""
         out = {p * q: self[q] for q in PERMS}
@@ -164,10 +150,6 @@ def subgroup_symmetric(i: int) -> GroupVector:
     return GroupVector.from_dict({p: Fraction(1) for p in SUBGROUPS[i]})
 
 
-V_FULL = subgroup_alternating(6)
-W_FULL = subgroup_symmetric(6)
-
-
 def group_orbit_span(v: GroupVector) -> Subspace:
     """Span of the left-translation orbit of v inside the group algebra."""
     return span([v.translate(p).coeffs for p in PERMS], 6)
@@ -177,11 +159,6 @@ def group_orbit_span(v: GroupVector) -> Subspace:
 # Isotypic decomposition via the central idempotents.
 
 Action = Callable[[Perm3, Vector], Vector]
-
-
-def translate_action(p: Perm3, v: Vector) -> Vector:
-    """Left translation on group-algebra coordinate vectors."""
-    return GroupVector(v).translate(p).coeffs
 
 
 @dataclass(frozen=True)
@@ -195,20 +172,18 @@ class IsotypicProfile:
         return self.m_triv + self.m_sgn + 2 * self.m_std
 
 
-def _apply_idempotent(kind: str, act: Action, v: Vector) -> Vector:
-    n = len(v)
-    out = [Fraction(0)] * n
-    for p in PERMS:
-        w = act(p, v)
-        s = Fraction(p.sign() if kind == "sgn" else 1, 6)
-        for i in range(n):
-            out[i] += s * w[i]
-    out = tuple(out)
+def apply_idempotent(kind: str, act: Action, v: Vector) -> Vector:
+    """Image of v under the central idempotent of 'triv', 'sgn' or 'std'."""
     if kind == "std":
-        triv = _apply_idempotent("triv", act, v)
-        sgn = _apply_idempotent("sgn", act, v)
+        triv = apply_idempotent("triv", act, v)
+        sgn = apply_idempotent("sgn", act, v)
         return tuple(a - b - c for a, b, c in zip(v, triv, sgn))
-    return out
+    out = [Fraction(0)] * len(v)
+    for p in PERMS:
+        s = Fraction(p.sign() if kind == "sgn" else 1, 6)
+        for i, w in enumerate(act(p, v)):
+            out[i] += s * w
+    return tuple(out)
 
 
 def check_invariant(s: Subspace, act: Action) -> None:
@@ -226,7 +201,7 @@ def isotypic_multiplicities(s: Subspace, act: Action) -> IsotypicProfile:
     check_invariant(s, act)
     dims = {}
     for kind in ("triv", "sgn", "std"):
-        images = [_apply_idempotent(kind, act, b) for b in s.basis]
+        images = [apply_idempotent(kind, act, b) for b in s.basis]
         dims[kind] = span(images, s.ambient_dim).dim
     if dims["std"] % 2 != 0:
         raise ValueError("2-dimensional isotypic component has odd dimension")

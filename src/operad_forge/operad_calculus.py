@@ -7,9 +7,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
-from .foundation import Subspace, Vector, full_space, span, vec
+from .foundation import Subspace, Vector, full_space, kernel, span
 from .group_module import (
     C1,
     C2,
@@ -18,9 +19,8 @@ from .group_module import (
     GroupVector,
     IsotypicProfile,
     Perm3,
-    T12,
-    T13,
     T23,
+    check_invariant,
     group_vector,
     isotypic_multiplicities,
     minimal_generator_count,
@@ -29,7 +29,6 @@ from .group_module import (
 )
 from .weight_spaces import (
     ANTICOMMUTATIVE,
-    ARRANGEMENTS,
     COMMUTATIVE,
     LEFT,
     REGULAR,
@@ -71,7 +70,7 @@ class RelationModule:
 
     def isotypic(self) -> IsotypicProfile:
         return isotypic_multiplicities(
-            self.space, lambda p, v: act_vector(self.symmetry, p, v)
+            self.space, partial(act_vector, self.symmetry)
         )
 
 
@@ -119,10 +118,8 @@ class QuadraticOperad:
             raise ValueError("relation module is in the wrong symmetry class")
         # Invariance is enforced by construction in orbit_span; re-check here
         # for operads assembled from raw subspaces.
-        for b in self.relations.basis_elements():
-            for sigma in PERMS:
-                if not self.relations.contains(act(sigma, b)):
-                    raise ValueError("relation module is not invariant")
+        check_invariant(self.relations.space,
+                        partial(act_vector, self.symmetry))
         if self.presentation is not None:
             gens = [presented_relation(v, w, self.symmetry)
                     for v, w in self.presentation]
@@ -155,18 +152,12 @@ def operads_equal(p: QuadraticOperad, q: QuadraticOperad) -> bool:
 
 def _pairing_diagonal() -> Vector:
     """<m, m> for the 12 regular monomials: +sign for Right, -sign for Left."""
-    from .weight_spaces import MONOMIALS, Monomial3
+    from .weight_spaces import MONOMIALS
 
-    def label_sign(labels):
-        a, b, c = labels
-        inv = (a > b) + (a > c) + (b > c)
-        return -1 if inv % 2 else 1
-
-    out = []
-    for m in MONOMIALS:
-        s = label_sign(m.labels)
-        out.append(Fraction(s if m.shape == RIGHT else -s))
-    return tuple(out)
+    return tuple(
+        Fraction(Perm3(m.labels).sign() * (1 if m.shape == RIGHT else -1))
+        for m in MONOMIALS
+    )
 
 
 _SYMMETRIC_DUAL_CLASS = {COMMUTATIVE: ANTICOMMUTATIVE,
@@ -192,29 +183,9 @@ def dual(p: QuadraticOperad) -> QuadraticOperad:
     # v orthogonal to basis b:  sum_m v_m * diag_m * b_m = 0.
     rows = [tuple(b[m] * diag[m] for m in range(ambient))
             for b in p.relations.space.basis]
-    constraint = span(rows, ambient)
-    # Kernel of the constraint matrix via the complement of the row space:
-    # solve directly by RREF back-substitution.
-    kernel = _kernel(constraint)
-    rel = RelationModule(target, kernel)
+    rel = RelationModule(target, kernel(span(rows, ambient)))
     name = f"dual({p.name})" if p.name else None
     return QuadraticOperad(target, rel, None, name)
-
-
-def _kernel(row_space: Subspace) -> Subspace:
-    """Kernel of the matrix whose rows are the RREF basis of row_space."""
-    n = row_space.ambient_dim
-    rows = row_space.basis
-    pivots = list(row_space.pivot_columns())
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for row, p in zip(rows, pivots):
-            v[p] = -row[f]
-        basis.append(tuple(v))
-    return span(basis, n)
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +229,28 @@ def find_presentation(p: QuadraticOperad, seed: int = 0,
     k = rank(p.relations)
     if k == 0:
         return []
-    basis = p.relations.basis_elements()
     rng = random.Random(seed)
     for _ in range(max_tries):
-        gens = []
-        for _ in range(k):
-            g = Weight3Element.zero(p.symmetry)
-            for b in basis:
-                g = g + b.scaled(Fraction(rng.randint(-9, 9)))
-            gens.append(g)
-        if orbit_span(gens, p.symmetry).space == p.relations.space:
+        gens = _random_generators(p.relations, k, rng)
+        if gens is not None:
             return [decompose_LR(_equivariant_lift(g)) for g in gens]
     raise RuntimeError("no generating set found within the retry budget")
+
+
+def _random_generators(r: RelationModule, k: int,
+                       rng: random.Random) -> Optional[list[Weight3Element]]:
+    """k seeded combinations of r's basis, or None if their orbits fall short.
+
+    The coefficients are integers in -9..9, drawn generator by generator.
+    """
+    basis = r.basis_elements()
+    gens = []
+    for _ in range(k):
+        g = Weight3Element.zero(r.symmetry)
+        for b in basis:
+            g = g + b.scaled(Fraction(rng.randint(-9, 9)))
+        gens.append(g)
+    return gens if orbit_span(gens, r.symmetry).space == r.space else None
 
 
 def presentation_of(p: QuadraticOperad,
@@ -335,17 +316,10 @@ def rank_search(r: RelationModule, seed: int = 0, trials: int = 200) -> int:
     """
     if r.dim == 0:
         return 0
-    basis = r.basis_elements()
     rng = random.Random(seed)
     for k in range(1, r.dim + 1):
         for _ in range(trials):
-            gens = []
-            for _ in range(k):
-                g = Weight3Element.zero(r.symmetry)
-                for b in basis:
-                    g = g + b.scaled(Fraction(rng.randint(-9, 9)))
-                gens.append(g)
-            if orbit_span(gens, r.symmetry).space == r.space:
+            if _random_generators(r, k, rng) is not None:
                 return k
     raise RuntimeError("rank search exhausted its budget")
 
@@ -520,6 +494,8 @@ PRESET_NAMES = (
 
 def preset(name: str, *params) -> QuadraticOperad:
     """Look up a catalog operad by name; family presets take parameters."""
+    if name in ("family_ab", "family_t") and not params:
+        raise ValueError(f"preset {name!r} takes parameters")
     if name == "family_ab":
         return family_ab(*params)
     if name == "family_t":

@@ -9,11 +9,11 @@ the expansion in R_A (x) Gamma + Gamma (x) R_B is decided exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .foundation import Vector, span, vec
+from .foundation import Vector, is_zero
 from .group_module import PERMS, Perm3
 from .operad_calculus import (
     QuadraticOperad,
@@ -21,8 +21,10 @@ from .operad_calculus import (
     orbit_span,
     presentation_of,
     tilde,
+    zero_module,
 )
 from .weight_spaces import (
+    ACTION_TABLE,
     LEFT,
     MONOMIALS,
     REGULAR,
@@ -31,7 +33,6 @@ from .weight_spaces import (
     SymmetryClass,
     Weight3Element,
     act,
-    act_monomial,
     projection_matrix,
 )
 
@@ -137,12 +138,6 @@ class TensorElement3:
     def is_zero(self) -> bool:
         return all(all(c == 0 for c in row) for row in self.coords)
 
-    def terms(self):
-        for ia, row in enumerate(self.coords):
-            for ib, c in enumerate(row):
-                if c != 0:
-                    yield ia, ib, c
-
 
 def _regular_expand_matrix(relation: Weight3Element,
                            product: MixedProduct) -> list[list[Fraction]]:
@@ -192,34 +187,26 @@ def expand(relation: Weight3Element, product: MixedProduct,
     return TensorElement3(sym_a, sym_b, tuple(tuple(row) for row in mat))
 
 
-def action_matrix(symmetry: SymmetryClass, sigma: Perm3) -> list[list[Fraction]]:
-    """Matrix of the action on a weight space, columns = images of basis."""
-    n = symmetry.dim
-    cols = []
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        cols.append(act(sigma, Weight3Element(symmetry, tuple(e))).coords)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
 def act_tensor(sigma: Perm3, t: TensorElement3) -> TensorElement3:
     """The diagonal (sigma, sigma) action on both tensor factors."""
-    a_mat = action_matrix(t.sym_a, sigma)
-    b_mat = action_matrix(t.sym_b, sigma)
-    m = _matmul(a_mat, [list(r) for r in t.coords])
-    m = _matmul(m, [list(r) for r in zip(*b_mat)])
-    return TensorElement3(t.sym_a, t.sym_b, tuple(tuple(r) for r in m))
+    table_b = ACTION_TABLE[t.sym_b, sigma]
+    return TensorElement3(t.sym_a, t.sym_b, tuple(
+        tuple(sa * sb * t.coords[ia][ib] for ib, sb in table_b)
+        for ia, sa in ACTION_TABLE[t.sym_a, sigma]
+    ))
 
 
 @dataclass(frozen=True)
 class ClosureCertificate:
     """Witness or refutation for one membership check."""
 
-    holds: bool
     target: Weight3Element
     residuals: tuple[tuple[int, Vector], ...] = ()
     # (complement coordinate on the A side, leaking B-side component)
+
+    @property
+    def holds(self) -> bool:
+        return not self.residuals
 
     def describe(self) -> str:
         if self.holds:
@@ -231,35 +218,29 @@ class ClosureCertificate:
 
 
 def membership(t: TensorElement3, r_a: RelationModule,
-               r_b: RelationModule) -> ClosureCertificate:
-    """Decide t in R_A (x) Gamma_B + Gamma_A (x) R_B with a certificate.
+               r_b: RelationModule) -> tuple[tuple[int, Vector], ...]:
+    """Residuals of t modulo R_A (x) Gamma_B + Gamma_A (x) R_B.
 
-    The A side is reduced modulo R_A; every surviving coset component must
-    land in R_B.
+    The A side is reduced modulo R_A; each surviving coset component is
+    reduced modulo R_B, and the nonzero ones are returned with their A-side
+    coordinate.  t lies in the sum exactly when none is left.
     """
     if r_a.symmetry is not t.sym_a or r_b.symmetry is not t.sym_b:
         raise ValueError("relation modules do not match the expansion classes")
     mat = [list(row) for row in t.coords]
-    for row_basis in r_a.space.basis:
-        p = None
-        for idx, e in enumerate(row_basis):
-            if e != 0:
-                p = idx
-                break
+    for row_basis, p in zip(r_a.space.basis, r_a.space.pivot_columns()):
         # Subtract the outer product of the basis row with the matrix's pivot
         # row, so the pivot row of the matrix becomes zero.
         pivot_row = mat[p][:]
-        for i in range(t.dim_a):
-            f = row_basis[i]
+        for i, f in enumerate(row_basis):
             if f != 0:
                 mat[i] = [a - f * b for a, b in zip(mat[i], pivot_row)]
     residuals = []
     for i in r_a.space.complement_columns():
-        component = tuple(mat[i])
-        if not r_b.space.contains(component):
-            residuals.append((i, r_b.space.reduce(component)))
-    target = Weight3Element.zero(REGULAR)
-    return ClosureCertificate(not residuals, target, tuple(residuals))
+        res = r_b.space.reduce(tuple(mat[i]))
+        if not is_zero(res):
+            residuals.append((i, res))
+    return tuple(residuals)
 
 
 def closure_holds(r_a: RelationModule, r_b: RelationModule,
@@ -267,15 +248,12 @@ def closure_holds(r_a: RelationModule, r_b: RelationModule,
                   targets: Sequence[Weight3Element]
                   ) -> tuple[bool, list[ClosureCertificate]]:
     """Check every target's expansion against R_A (x) Gamma + Gamma (x) R_B."""
-    certs = []
-    ok = True
-    for tgt in targets:
-        t = expand(tgt, product, r_a.symmetry, r_b.symmetry)
-        cert = membership(t, r_a, r_b)
-        cert = ClosureCertificate(cert.holds, tgt, cert.residuals)
-        certs.append(cert)
-        ok = ok and cert.holds
-    return ok, certs
+    certs = [
+        ClosureCertificate(tgt, membership(
+            expand(tgt, product, r_a.symmetry, r_b.symmetry), r_a, r_b))
+        for tgt in targets
+    ]
+    return all(c.holds for c in certs), certs
 
 
 def theorem1_check(p: QuadraticOperad, seed: int = 0) -> tuple[bool, list]:
@@ -308,27 +286,13 @@ def minimal_companion(p: QuadraticOperad) -> RelationModule:
     if p.symmetry is not REGULAR:
         raise ValueError("minimal companion is computed for the regular class")
     r = p.relations
-    collected = []
-    for tgt in r.basis_elements():
-        t = expand(tgt, MixedProduct.identity(), REGULAR, REGULAR)
-        mat = [list(row) for row in t.coords]
-        for row_basis in r.space.basis:
-            pcol = None
-            for idx, e in enumerate(row_basis):
-                if e != 0:
-                    pcol = idx
-                    break
-            pivot_row = mat[pcol][:]
-            for i in range(12):
-                f = row_basis[i]
-                if f != 0:
-                    mat[i] = [a - f * b for a, b in zip(mat[i], pivot_row)]
-        for i in r.space.complement_columns():
-            component = tuple(mat[i])
-            if any(c != 0 for c in component):
-                collected.append(Weight3Element(REGULAR, component))
-    if not collected:
-        return RelationModule(REGULAR, span([], 12))
+    free = zero_module(REGULAR)
+    collected = [
+        Weight3Element(REGULAR, component)
+        for tgt in r.basis_elements()
+        for _, component in membership(
+            expand(tgt, MixedProduct.identity()), r, free)
+    ]
     return orbit_span(collected, REGULAR)
 
 

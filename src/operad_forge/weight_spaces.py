@@ -69,6 +69,10 @@ MONOMIALS: tuple[Monomial3, ...] = tuple(
 COMB_PAIRS: tuple[tuple[int, int], ...] = ((1, 2), (2, 3), (3, 1))
 COMB_BY_SET = {frozenset(p): i for i, p in enumerate(COMB_PAIRS)}
 COMB_NAMES = ("m1", "m2", "m3")
+# m_p lifts to the Left-shape monomial with inner pair COMB_PAIRS[p].
+COMB_LIFTS: tuple[Monomial3, ...] = tuple(
+    Monomial3(LEFT, (i, j, 6 - i - j)) for i, j in COMB_PAIRS
+)
 
 
 @dataclass(frozen=True)
@@ -143,17 +147,11 @@ def act_monomial(sigma: Perm3, m: Monomial3) -> Monomial3:
 
 
 def act(sigma: Perm3, x: Weight3Element) -> Weight3Element:
-    """Linear extension of the leaf-relabelling action."""
-    if x.symmetry is REGULAR:
-        coords = [Fraction(0)] * 12
-        for m in MONOMIALS:
-            c = x.coords[m.index]
-            if c != 0:
-                coords[act_monomial(sigma, m).index] += c
-        return Weight3Element(REGULAR, tuple(coords))
-    # Symmetric classes: act on the canonical lift, project back.  The
-    # projection is equivariant, so this is a genuine group action.
-    return project(act(sigma, lift(x)), x.symmetry)
+    """Linear extension of the leaf-relabelling action, by table lookup."""
+    c = x.coords
+    return Weight3Element(x.symmetry, tuple(
+        c[i] if s > 0 else -c[i] for i, s in ACTION_TABLE[x.symmetry, sigma]
+    ))
 
 
 def act_vector(symmetry: SymmetryClass, sigma: Perm3, v: Vector) -> Vector:
@@ -164,13 +162,10 @@ def lift(x: Weight3Element) -> Weight3Element:
     """Canonical Left-shape lift of a symmetric-class element."""
     if x.symmetry is REGULAR:
         return x
-    out = Weight3Element.zero(REGULAR)
-    for p, (i, j) in enumerate(COMB_PAIRS):
-        c = x.coords[p]
-        if c != 0:
-            k = 6 - i - j
-            out = out + Weight3Element.monomial(LEFT, (i, j, k), c)
-    return out
+    coords = [Fraction(0)] * 12
+    for m, c in zip(COMB_LIFTS, x.coords):
+        coords[m.index] = c
+    return Weight3Element(REGULAR, tuple(coords))
 
 
 def project(x: Weight3Element, target: SymmetryClass) -> Weight3Element:
@@ -204,6 +199,28 @@ def project(x: Weight3Element, target: SymmetryClass) -> Weight3Element:
         else:
             coords[idx] += c
     return Weight3Element(target, tuple(coords))
+
+
+def _action_table(symmetry: SymmetryClass,
+                  sigma: Perm3) -> tuple[tuple[int, int], ...]:
+    """(source index, sign) for each coordinate of sigma applied to x.
+
+    sigma sends each basis vector to a signed basis vector: relabel its
+    monomial (the canonical lift in a symmetric class) and project back.
+    The projection is equivariant, so this is a genuine group action.
+    """
+    table: list = [None] * symmetry.dim
+    for i, m in enumerate(MONOMIALS if symmetry is REGULAR else COMB_LIFTS):
+        image = act_monomial(sigma, m)
+        y = project(Weight3Element.monomial(image.shape, image.labels),
+                    symmetry).coords
+        j = next(j for j, c in enumerate(y) if c)
+        table[j] = (i, int(y[j]))
+    return tuple(table)
+
+
+ACTION_TABLE = {(symmetry, sigma): _action_table(symmetry, sigma)
+                for symmetry in SymmetryClass for sigma in PERMS}
 
 
 def projection_matrix(target: SymmetryClass) -> list[Vector]:

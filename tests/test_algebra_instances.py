@@ -55,6 +55,17 @@ def test_entry_indices_outside_the_basis_are_rejected(entry):
     assert "indices in 1..2" in str(err.value)
 
 
+@pytest.mark.parametrize("value", ["1/0", "x", None])
+def test_entry_coefficients_must_be_rational(value):
+    with pytest.raises(ValueError) as err:
+        AlgebraInstance.from_entries(2, [(1, 1, 2, value)])
+    assert str(err.value) == (
+        f"structure entry (1, 1, 2, {value}) needs a rational coefficient"
+    )
+    with pytest.raises(ValueError):
+        AlgebraInstance.from_json({"dim": 2, "structure": [[1, 1, 2, value]]})
+
+
 def test_json_round_trip():
     alg = example("zinbiel_3d")
     back = AlgebraInstance.from_json(alg.to_json())

@@ -160,17 +160,23 @@ def test_instance_check_fail(tmp_path, capsys):
     assert "verified: false" in out
 
 
-@pytest.mark.parametrize("index", [0, 4])
-def test_instance_check_index_outside_basis_exits_2(tmp_path, capsys, index):
+@pytest.mark.parametrize("entry,message", [
+    pytest.param([1, 0, 2, "1"], "indices in 1..3", id="0"),
+    pytest.param([1, 4, 2, "1"], "indices in 1..3", id="4"),
+    pytest.param([1, 1, 2, "1/0"], "rational coefficient", id="1/0"),
+    pytest.param([1, 1, 2, "x"], "rational coefficient", id="x"),
+])
+def test_instance_check_index_outside_basis_exits_2(tmp_path, capsys, entry,
+                                                    message):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"dim": 3,
-                                "structure": [[1, index, 2, "1"]]}))
+    path.write_text(json.dumps({"dim": 3, "structure": [entry]}))
     code, out, err = _run(capsys, "instance", "check", str(path),
                           "--operad", "leib")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: structure entry (1, ")
-    assert "indices in 1..3" in err
+    assert err.startswith("error: structure entry ({}, {}, {}, {})".format(
+        *entry))
+    assert message in err
     assert "Traceback" not in err and err.count("\n") == 1
 
 
@@ -232,6 +238,40 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     code, out, _ = _run(capsys, "show", "leib")
     assert code == 0
     assert "seed: 7" in out
+
+
+def test_bad_seed_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("OPERAD_FORGE_SEED", "abc")
+    code, out, err = _run(capsys, "show", "leib")
+    assert code == 2
+    assert out == ""
+    assert "argument --seed: invalid int value: 'abc'" in err
+    assert "Traceback" not in err
+    # a seed on the command line replaces the variable
+    code, out, _ = _run(capsys, "show", "leib", "--seed", "3")
+    assert code == 0
+    assert "seed: 3" in out
+
+
+def test_preset_name_wins_over_a_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "leib").write_text(json.dumps({"name": "impostor"}))
+    code, out, _ = _run(capsys, "show", "leib")
+    assert code == 0
+    assert out.startswith("operad leib\n")
+    assert "impostor" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("show", "family_ab"),
+    ("verify", "theorem1", "--preset", "family_t"),
+])
+def test_family_preset_without_parameters_exits_2(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "takes parameters" in err
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_usage_error_exits_2(capsys):

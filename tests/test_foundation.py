@@ -1,17 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from operad_forge.foundation import (
     Subspace,
-    add,
     combine,
     full_space,
     is_zero,
+    kernel,
     rref,
-    scale,
     span,
-    sub,
     vec,
     zero_vector,
 )
@@ -24,18 +23,15 @@ def test_vec_coerces_mixed_inputs():
 
 
 def test_vector_arithmetic():
-    u = vec([1, 2, 3])
-    v = vec([4, 5, 6])
-    assert add(u, v) == vec([5, 7, 9])
-    assert sub(v, u) == vec([3, 3, 3])
-    assert scale("1/2", u) == vec(["1/2", 1, "3/2"])
+    assert zero_vector(3) == vec([0, 0, 0])
     assert is_zero(zero_vector(3))
-    assert not is_zero(u)
+    assert not is_zero(vec([0, 0, "1/2"]))
 
 
 def test_vector_dimension_mismatch():
+    s = span([[1, 0]], 2)
     with pytest.raises(ValueError):
-        add(vec([1]), vec([1, 2]))
+        s.reduce(vec([1]))
 
 
 def test_rref_canonical_form():
@@ -103,3 +99,55 @@ def test_combine_rejects_unknown_mode():
 def test_span_dimension_mismatch():
     with pytest.raises(ValueError):
         span([[1, 2, 3]], 2)
+
+
+def test_kernel_is_the_orthogonal_complement():
+    s = span([[1, 2, 0, -1], [0, 0, 1, 3]], 4)
+    k = kernel(s)
+    assert k.dim == 2
+    for u in k.basis:
+        for v in s.basis:
+            assert sum(a * b for a, b in zip(u, v)) == 0
+    assert kernel(span([], 3)) == full_space(3)
+    assert kernel(full_space(3)) == span([], 3)
+
+
+def _reference_intersection(s: Subspace, t: Subspace) -> Subspace:
+    """The augmented-RREF intersection that `combine` replaced.
+
+    Row-reduce [reduce_T(b_i) | e_i] over the basis b of S; the rows whose
+    residual part vanishes hold the combinations of b that lie in T.
+    """
+    n = s.ambient_dim
+    if s.dim == 0 or t.dim == 0:
+        return span([], n)
+    aug = [
+        list(t.reduce(b)) + [Fraction(1 if j == i else 0)
+                             for j in range(s.dim)]
+        for i, b in enumerate(s.basis)
+    ]
+    members = [
+        [sum((c * b[k] for c, b in zip(row[n:], s.basis)), Fraction(0))
+         for k in range(n)]
+        for row in rref(aug) if is_zero(row[:n])
+    ]
+    return span(members, n)
+
+
+def test_intersection_matches_augmented_rref_reference():
+    rng = random.Random(20061)
+    proper = 0  # cases where the intersection is neither 0 nor S or T
+    for _ in range(400):
+        n = rng.randint(1, 7)
+
+        def rows(count):
+            return [[rng.choice([0, 0, 1, -1, 2, "1/2"]) for _ in range(n)]
+                    for _ in range(count)]
+
+        common = rows(rng.randint(0, 2))
+        s = span(common + rows(rng.randint(0, n // 2 + 1)), n)
+        t = span(common + rows(rng.randint(0, n // 2 + 1)), n)
+        got = combine(s, t, "intersection")
+        assert got == _reference_intersection(s, t)
+        proper += 0 < got.dim < min(s.dim, t.dim)
+    assert proper > 50

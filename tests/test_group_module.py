@@ -12,6 +12,7 @@ from operad_forge.group_module import (
     T13,
     T23,
     GroupVector,
+    apply_idempotent,
     group_orbit_span,
     group_vector,
     IsotypicProfile,
@@ -19,11 +20,12 @@ from operad_forge.group_module import (
     minimal_generator_count,
     subgroup_alternating,
     subgroup_symmetric,
-    translate_action,
-    V_FULL,
-    W_FULL,
 )
 from operad_forge.foundation import full_space
+
+
+def _translate(p, v):
+    return GroupVector(v).translate(p).coeffs
 
 
 def test_composition_table_facts():
@@ -56,36 +58,25 @@ def test_subgroups_are_closed():
                 assert p * q in elems
 
 
-def test_group_vector_convolution_unit():
-    e = GroupVector.basis(ID)
-    v = group_vector((2, T12), ("1/3", C1))
-    assert e * v == v
-    assert v * e == v
-
-
-def test_convolution_matches_group_multiplication():
-    assert GroupVector.basis(T12) * GroupVector.basis(T13) == \
-        GroupVector.basis(C1)
-
-
 def test_translate_is_left_multiplication():
     v = group_vector((1, ID), (-1, T23))
-    assert v.translate(T12) == GroupVector.basis(T12) * v
+    # t12 * t23 = c2 under left-to-right composition
+    assert v.translate(T12) == group_vector((1, T12), (-1, C2))
 
 
 def test_v_and_w_vectors():
-    assert V_FULL == group_vector(
+    assert subgroup_alternating(6) == group_vector(
         (1, ID), (-1, T12), (-1, T13), (-1, T23), (1, C1), (1, C2)
     )
-    assert W_FULL == subgroup_symmetric(6)
+    assert subgroup_symmetric(6) == group_vector(*((1, p) for p in PERMS))
     assert subgroup_alternating(2) == group_vector((1, ID), (-1, T12))
     assert subgroup_symmetric(5) == group_vector((1, ID), (1, C1), (1, C2))
 
 
 def test_one_dimensional_orbit_spans():
     # the alternating and symmetric full sums each span a line
-    assert group_orbit_span(V_FULL).dim == 1
-    assert group_orbit_span(W_FULL).dim == 1
+    assert group_orbit_span(subgroup_alternating(6)).dim == 1
+    assert group_orbit_span(subgroup_symmetric(6)).dim == 1
 
 
 def test_five_dimensional_orbit_span():
@@ -99,7 +90,7 @@ def test_generic_orbit_is_everything():
 
 
 def test_isotypic_of_group_algebra():
-    profile = isotypic_multiplicities(full_space(6), translate_action)
+    profile = isotypic_multiplicities(full_space(6), _translate)
     assert profile == IsotypicProfile(1, 1, 2)
     assert profile.dim == 6
 
@@ -109,7 +100,20 @@ def test_isotypic_rejects_non_invariant_space():
 
     with pytest.raises(ValueError):
         isotypic_multiplicities(span([[1, 0, 0, 0, 0, 0]], 6),
-                                translate_action)
+                                _translate)
+
+
+def test_central_idempotents_of_the_identity():
+    e = GroupVector.basis(ID).coeffs
+    triv = apply_idempotent("triv", _translate, e)
+    sgn = apply_idempotent("sgn", _translate, e)
+    std = apply_idempotent("std", _translate, e)
+    assert triv == subgroup_symmetric(6).scaled(Fraction(1, 6)).coeffs
+    assert sgn == subgroup_alternating(6).scaled(Fraction(1, 6)).coeffs
+    assert std == tuple(a - b - c for a, b, c in zip(e, triv, sgn))
+    assert std == group_vector(
+        ("2/3", ID), ("-1/3", C1), ("-1/3", C2)
+    ).coeffs
 
 
 def test_minimal_generator_count():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from operad_forge.weight_spaces import (
     Weight3Element,
     act,
     act_monomial,
+    act_vector,
     associator,
     comb_in,
     decompose_LR,
@@ -52,6 +54,34 @@ def test_act_is_an_action():
     for p in PERMS:
         for q in PERMS:
             assert act(p, act(q, x)) == act(p * q, x)
+
+
+def _reference_act(sigma, x):
+    """The action before the tables: lift, relabel monomials, project."""
+    if x.symmetry is REGULAR:
+        coords = [Fraction(0)] * 12
+        for m in MONOMIALS:
+            c = x.coords[m.index]
+            if c != 0:
+                coords[act_monomial(sigma, m).index] += c
+        return Weight3Element(REGULAR, tuple(coords))
+    return project(_reference_act(sigma, lift(x)), x.symmetry)
+
+
+def test_action_tables_match_the_reference_action():
+    rng = random.Random(3)
+    for symmetry in (REGULAR, COMMUTATIVE, ANTICOMMUTATIVE):
+        n = symmetry.dim
+        units = [tuple(Fraction(int(i == j)) for j in range(n))
+                 for i in range(n)]
+        randoms = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                         for _ in range(n)) for _ in range(50)]
+        for sigma in PERMS:
+            for coords in units + randoms:
+                x = Weight3Element(symmetry, coords)
+                want = _reference_act(sigma, x)
+                assert act(sigma, x) == want
+                assert act_vector(symmetry, sigma, coords) == want.coords
 
 
 def test_project_associator_commutative():
