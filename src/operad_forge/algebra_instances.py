@@ -33,6 +33,16 @@ from .weight_spaces import (
 
 Structure = tuple[tuple[Vector, ...], ...]  # c[i][j] is the vector e_i * e_j
 
+# The largest instance dimension; the structure table has dim³ entries.
+MAX_DIM = 16
+
+
+def _check_dim(dim) -> None:
+    # bool is a subclass of int, and `true` in a JSON file is no dimension.
+    if type(dim) is not int or not 1 <= dim <= MAX_DIM:
+        raise ValueError(
+            f"dimension must be an integer in 1..{MAX_DIM}, got {dim!r}")
+
 
 @dataclass(frozen=True)
 class AlgebraInstance:
@@ -41,8 +51,7 @@ class AlgebraInstance:
     name: Optional[str] = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be at least 1")
+        _check_dim(self.dim)
         if len(self.structure) != self.dim or any(
             len(row) != self.dim or any(len(v) != self.dim for v in row)
             for row in self.structure
@@ -51,16 +60,23 @@ class AlgebraInstance:
 
     @classmethod
     def from_entries(cls, dim: int, entries, name=None) -> "AlgebraInstance":
-        """Build from sparse (i, j, k, value) entries, 1-based indices."""
+        """Build from sparse (i, j, k, value) entries, 1-based indices.
+
+        dim and the indices must be ints.  A value is an int, a Fraction or
+        a string such as "1/10"; a float or a bool is refused, because a
+        float's binary value is not the decimal that was written.
+        """
+        _check_dim(dim)
         c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
         for i, j, k, value in entries:
-            if not all(isinstance(x, int) and 1 <= x <= dim
-                       for x in (i, j, k)):
+            if not all(type(x) is int and 1 <= x <= dim for x in (i, j, k)):
                 raise ValueError(
                     f"structure entry ({i}, {j}, {k}, {value}) needs "
                     f"indices in 1..{dim}"
                 )
             try:
+                if isinstance(value, (bool, float)):
+                    raise TypeError("inexact coefficient")
                 c[i - 1][j - 1][k - 1] += Fraction(value)
             except (ZeroDivisionError, ValueError, TypeError):
                 raise ValueError(
@@ -109,7 +125,7 @@ class AlgebraInstance:
 
     @classmethod
     def from_json(cls, data: dict, name=None) -> "AlgebraInstance":
-        return cls.from_entries(int(data["dim"]), data["structure"], name)
+        return cls.from_entries(data["dim"], data["structure"], name)
 
 
 @dataclass(frozen=True)
@@ -246,6 +262,9 @@ def tensor_instance(a: AlgebraInstance, b: AlgebraInstance,
                     name=None) -> AlgebraInstance:
     """Structure constants of A (x) B under a mixed product."""
     n = a.dim * b.dim
+    if n > MAX_DIM:
+        raise ValueError(
+            f"tensor product dimension {a.dim}*{b.dim} = {n} exceeds {MAX_DIM}")
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for i, p in itertools.product(range(a.dim), range(b.dim)):
         for j, q in itertools.product(range(a.dim), range(b.dim)):

@@ -1,17 +1,27 @@
 """Exact rational dense linear algebra for small ambient spaces.
 
-Everything is built on `fractions.Fraction`, so no computation ever rounds.
-Subspaces are kept in reduced row-echelon form, which makes subspace
-equality plain value equality.
+Every result is exact: vectors hold `fractions.Fraction` entries, and no
+computation ever rounds.  The elimination itself runs on integers: each
+vector is scaled by a common denominator of its entries, rows are cleared
+fraction-free and divided by the gcd of their entries, and the results
+come back as the canonical `Fraction` reduced row-echelon form.
+Subspaces are kept in that form, which makes subspace equality plain value
+equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def vec(entries: Iterable) -> Vector:
@@ -20,42 +30,73 @@ def vec(entries: Iterable) -> Vector:
 
 
 def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
+    return (ZERO,) * n
 
 
 def is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
 
+def _integers(row: Sequence) -> tuple[list[int], int]:
+    """(numerators, d): the entries of row are numerators[i] / d.
+
+    d is the least common denominator.  Entries that are not already an
+    int or a Fraction (strings, for instance) are converted by `Fraction`.
+    """
+    row = [e if isinstance(e, (int, Fraction)) else Fraction(e) for e in row]
+    d = lcm(*[e.denominator for e in row])
+    if d == 1:
+        return [e.numerator for e in row], 1
+    return [e.numerator * (d // e.denominator) for e in row], d
+
+
+def _pivot_row(row: list[int], col: int) -> Vector:
+    """The integer row divided by its entry in the pivot column, as Fractions."""
+    p = row[col]
+    return tuple(ZERO if a == 0 else ONE if a == p else Fraction(a, p)
+                 for a in row)
+
+
 def rref(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
-    """Reduced row-echelon form; returns the nonzero rows (pivot entries 1)."""
-    m = [list(Fraction(e) for e in row) for row in rows]
-    if not m:
+    """Reduced row-echelon form; returns the nonzero rows (pivot entries 1).
+
+    Each row is scaled to integers.  A row is cleared against the pivot row
+    as p*row - f*pivot_row (p and f the two entries in the pivot column,
+    divided by their gcd), and then divided by the gcd of its entries.
+    Only the final pivot rows are divided by their pivot entry, so the
+    result is the unique RREF over Q.
+    """
+    if not rows:
         return []
-    ncols = len(m[0])
-    for row in m:
+    ncols = len(rows[0])
+    m = []
+    for row in rows:
         if len(row) != ncols:
             raise ValueError("dimension mismatch among input vectors")
-    pivot_row = 0
+        ints, _ = _integers(row)
+        if any(ints):
+            m.append(ints)
+    pivots = []
     for col in range(ncols):
-        pr = None
-        for r in range(pivot_row, len(m)):
-            if m[r][col] != 0:
-                pr = r
-                break
+        rank = len(pivots)
+        pr = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pr is None:
             continue
-        m[pivot_row], m[pr] = m[pr], m[pivot_row]
-        inv = 1 / m[pivot_row][col]
-        m[pivot_row] = [e * inv for e in m[pivot_row]]
-        for r in range(len(m)):
-            if r != pivot_row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(m):
+        m[rank], m[pr] = m[pr], m[rank]
+        pivot_row = m[rank]
+        p = pivot_row[col]
+        for r, row in enumerate(m):
+            f = row[col]
+            if f and r != rank:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(row, pivot_row)]
+                g = gcd(*row)
+                m[r] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+        if len(pivots) == len(m):
             break
-    return [tuple(row) for row in m[:pivot_row] if any(e != 0 for e in row)]
+    return [_pivot_row(m[r], col) for r, col in enumerate(pivots)]
 
 
 @dataclass(frozen=True)
@@ -63,35 +104,81 @@ class Subspace:
     """A linear subspace of Q^n, stored by its canonical RREF basis.
 
     Two Subspace values are equal as spaces iff they are equal as values.
+    The basis must already be in canonical RREF; construction checks it.
     """
 
     ambient_dim: int
     basis: tuple[Vector, ...]
+
+    def __post_init__(self):
+        n = self.ambient_dim
+        for row in self.basis:
+            if len(row) != n:
+                raise ValueError(
+                    f"basis row has length {len(row)}, ambient is {n}")
+        pivots = self.pivot_columns()  # raises on a zero row
+        for i, (row, p) in enumerate(zip(self.basis, pivots)):
+            if row[p] != 1:
+                raise ValueError(
+                    f"basis row {i} has leading entry {row[p]}, not 1")
+            if i and p <= pivots[i - 1]:
+                raise ValueError("basis pivots do not strictly increase")
+        for i, p in enumerate(pivots):
+            if any(row[p] for row in self.basis[:i]):
+                raise ValueError(
+                    f"basis is not reduced: pivot column {p} of row {i} "
+                    f"is nonzero in an earlier row")
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def __contains__(self, v) -> bool:
-        return self.contains(vec(v))
+        return self.contains(v)
 
     def contains(self, v: Vector) -> bool:
-        return is_zero(self.reduce(v))
+        _, residue = self._residue(v)
+        return not any(a for _, a in residue)
 
     def reduce(self, v: Vector) -> Vector:
         """Canonical representative of v modulo this subspace."""
+        den, residue = self._residue(v)
+        out = [ZERO] * self.ambient_dim
+        for j, a in residue:
+            if a:
+                out[j] = Fraction(a, den)
+        return tuple(out)
+
+    def _residue(self, v: Vector) -> tuple[int, list[tuple[int, int]]]:
+        """(den, [(j, a), ...]): reduce(v)[j] = a / den off the pivots.
+
+        The basis is in RREF, so reduce(v) = v - sum_i v[p_i] * b_i, which
+        vanishes in each pivot column p_i.
+        """
         if len(v) != self.ambient_dim:
             raise ValueError(
                 f"dimension mismatch: vector has length {len(v)}, "
                 f"ambient is {self.ambient_dim}"
             )
-        w = list(v)
-        for row in self.basis:
-            p = _pivot(row)
-            if w[p] != 0:
-                f = w[p]
-                w = [a - f * b for a, b in zip(w, row)]
-        return tuple(w)
+        w, d = _integers(v)
+        pivots, c, columns = self._integer_form
+        at_pivots = [w[p] for p in pivots]
+        return c * d, [(j, c * w[j] - sum(map(mul, at_pivots, column)))
+                       for j, column in columns]
+
+    @cached_property
+    def _integer_form(self) -> tuple:
+        """(pivots, c, columns), computed once per subspace.
+
+        c is a common denominator of the basis, and each non-pivot column j
+        appears in columns as (j, (c * b[j] for each basis row b)).
+        """
+        c = lcm(*[e.denominator for row in self.basis for e in row])
+        return self.pivot_columns(), c, tuple(
+            (j, tuple(b[j].numerator * (c // b[j].denominator)
+                      for b in self.basis))
+            for j in self.complement_columns()
+        )
 
     def pivot_columns(self) -> tuple[int, ...]:
         return tuple(_pivot(row) for row in self.basis)
@@ -116,7 +203,7 @@ def _pivot(row: Vector) -> int:
 
 def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
     """Canonical span of a (possibly redundant) list of vectors."""
-    vs = [vec(v) for v in vectors]
+    vs = list(vectors)
     for v in vs:
         if len(v) != ambient_dim:
             raise ValueError(
@@ -128,7 +215,7 @@ def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
 
 def full_space(ambient_dim: int) -> Subspace:
     eye = [
-        tuple(Fraction(1 if i == j else 0) for j in range(ambient_dim))
+        tuple(ONE if i == j else ZERO for j in range(ambient_dim))
         for i in range(ambient_dim)
     ]
     return Subspace(ambient_dim, tuple(eye))
@@ -152,8 +239,8 @@ def kernel(row_space: Subspace) -> Subspace:
     pivots = row_space.pivot_columns()
     basis = []
     for f in row_space.complement_columns():
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
+        v = [ZERO] * n
+        v[f] = ONE
         for row, p in zip(row_space.basis, pivots):
             v[p] = -row[f]
         basis.append(tuple(v))

@@ -221,23 +221,17 @@ def membership(t: TensorElement3, r_a: RelationModule,
                r_b: RelationModule) -> tuple[tuple[int, Vector], ...]:
     """Residuals of t modulo R_A (x) Gamma_B + Gamma_A (x) R_B.
 
-    The A side is reduced modulo R_A; each surviving coset component is
-    reduced modulo R_B, and the nonzero ones are returned with their A-side
+    Each B-side column is reduced modulo R_A; each surviving coset
+    component (a row of the result at a non-pivot A coordinate) is reduced
+    modulo R_B, and the nonzero ones are returned with their A-side
     coordinate.  t lies in the sum exactly when none is left.
     """
     if r_a.symmetry is not t.sym_a or r_b.symmetry is not t.sym_b:
         raise ValueError("relation modules do not match the expansion classes")
-    mat = [list(row) for row in t.coords]
-    for row_basis, p in zip(r_a.space.basis, r_a.space.pivot_columns()):
-        # Subtract the outer product of the basis row with the matrix's pivot
-        # row, so the pivot row of the matrix becomes zero.
-        pivot_row = mat[p][:]
-        for i, f in enumerate(row_basis):
-            if f != 0:
-                mat[i] = [a - f * b for a, b in zip(mat[i], pivot_row)]
+    columns = [r_a.space.reduce(column) for column in zip(*t.coords)]
     residuals = []
     for i in r_a.space.complement_columns():
-        res = r_b.space.reduce(tuple(mat[i]))
+        res = r_b.space.reduce(tuple(column[i] for column in columns))
         if not is_zero(res):
             residuals.append((i, res))
     return tuple(residuals)

@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .foundation import Vector, vec, zero_vector
+from .foundation import Vector, zero_vector
 from .group_module import PERMS, GroupVector, Perm3
 
 
@@ -148,14 +148,13 @@ def act_monomial(sigma: Perm3, m: Monomial3) -> Monomial3:
 
 def act(sigma: Perm3, x: Weight3Element) -> Weight3Element:
     """Linear extension of the leaf-relabelling action, by table lookup."""
-    c = x.coords
-    return Weight3Element(x.symmetry, tuple(
-        c[i] if s > 0 else -c[i] for i, s in ACTION_TABLE[x.symmetry, sigma]
-    ))
+    return Weight3Element(x.symmetry, act_vector(x.symmetry, sigma, x.coords))
 
 
 def act_vector(symmetry: SymmetryClass, sigma: Perm3, v: Vector) -> Vector:
-    return act(sigma, Weight3Element(symmetry, vec(v))).coords
+    """The coordinates of act(sigma, x) for x with coordinates v."""
+    return tuple(v[i] if s > 0 else -v[i]
+                 for i, s in ACTION_TABLE[symmetry, sigma])
 
 
 def lift(x: Weight3Element) -> Weight3Element:

@@ -47,6 +47,7 @@ def test_instance_shape_validation():
 
 @pytest.mark.parametrize("entry", [
     (0, 1, 1, 1), (1, 3, 1, 1), (1, 1, -1, 1), ("1", 1, 1, 1),
+    (True, True, True, 1), (1, 1.0, 1, 1),
 ])
 def test_entry_indices_outside_the_basis_are_rejected(entry):
     with pytest.raises(ValueError) as err:
@@ -55,7 +56,7 @@ def test_entry_indices_outside_the_basis_are_rejected(entry):
     assert "indices in 1..2" in str(err.value)
 
 
-@pytest.mark.parametrize("value", ["1/0", "x", None])
+@pytest.mark.parametrize("value", ["1/0", "x", None, 0.1, 2.0, True])
 def test_entry_coefficients_must_be_rational(value):
     with pytest.raises(ValueError) as err:
         AlgebraInstance.from_entries(2, [(1, 1, 2, value)])
@@ -64,6 +65,32 @@ def test_entry_coefficients_must_be_rational(value):
     )
     with pytest.raises(ValueError):
         AlgebraInstance.from_json({"dim": 2, "structure": [[1, 1, 2, value]]})
+
+
+@pytest.mark.parametrize("value,want", [
+    (3, Fraction(3)), ("1/10", Fraction(1, 10)), ("-2", Fraction(-2)),
+    (Fraction(2, 7), Fraction(2, 7)),
+])
+def test_exact_coefficients_load(value, want):
+    alg = AlgebraInstance.from_json({"dim": 2, "structure": [[1, 1, 2, value]]})
+    assert alg.structure[0][0] == (Fraction(0), want)
+
+
+@pytest.mark.parametrize("dim", [0, -1, 17, 2.7, 2.0, True, "2", None])
+def test_dimension_must_be_an_int_within_the_cap(dim):
+    with pytest.raises(ValueError) as err:
+        AlgebraInstance.from_json({"dim": dim, "structure": []})
+    assert str(err.value) == (
+        f"dimension must be an integer in 1..16, got {dim!r}")
+
+
+def test_tensor_instance_dimension_cap():
+    four = AlgebraInstance.from_entries(4, [(1, 1, 2, 1)])
+    assert tensor_instance(four, four, MixedProduct.identity()).dim == 16
+    five = AlgebraInstance.from_entries(5, [(1, 1, 2, 1)])
+    with pytest.raises(ValueError) as err:
+        tensor_instance(four, five, MixedProduct.identity())
+    assert str(err.value) == "tensor product dimension 4*5 = 20 exceeds 16"
 
 
 def test_json_round_trip():

@@ -165,6 +165,8 @@ def test_instance_check_fail(tmp_path, capsys):
     pytest.param([1, 4, 2, "1"], "indices in 1..3", id="4"),
     pytest.param([1, 1, 2, "1/0"], "rational coefficient", id="1/0"),
     pytest.param([1, 1, 2, "x"], "rational coefficient", id="x"),
+    pytest.param([1, 1, 2, 0.1], "rational coefficient", id="0.1"),
+    pytest.param([True, 1, 2, "1"], "indices in 1..3", id="true"),
 ])
 def test_instance_check_index_outside_basis_exits_2(tmp_path, capsys, entry,
                                                     message):
@@ -178,6 +180,27 @@ def test_instance_check_index_outside_basis_exits_2(tmp_path, capsys, entry,
         *entry))
     assert message in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dim", [2.7, True, 17])
+def test_instance_check_dimension_outside_cap_exits_2(tmp_path, capsys, dim):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": dim, "structure": []}))
+    code, out, err = _run(capsys, "instance", "check", str(path),
+                          "--operad", "leib")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: dimension must be an integer in 1..16, got {dim!r}\n")
+
+
+def test_instance_tensor_dimension_outside_cap_exits_2(tmp_path, capsys):
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps({"dim": 5, "structure": [[1, 1, 2, 1]]}))
+    code, out, err = _run(capsys, "instance", "tensor", str(path), str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: tensor product dimension 5*5 = 25 exceeds 16\n"
 
 
 def test_instance_tensor(tmp_path, capsys):

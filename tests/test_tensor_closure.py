@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from operad_forge.tensor_closure import (
     twisted_poisson_check,
 )
 from operad_forge.weight_spaces import (
+    ANTICOMMUTATIVE,
     COMMUTATIVE,
     LEFT,
     MONOMIALS,
@@ -199,6 +201,70 @@ def test_minimal_companion_matches_reference_on_every_regular_preset():
     for name in regular_presets():
         p = preset(name)
         assert minimal_companion(p) == _reference_minimal_companion(p), name
+
+
+def _reference_membership(t, r_a, r_b):
+    """`membership` before it went through `Subspace.reduce`: its own
+    Fraction loop subtracts outer products on the A side."""
+    mat = [list(row) for row in t.coords]
+    for row_basis, p in zip(r_a.space.basis, r_a.space.pivot_columns()):
+        pivot_row = mat[p][:]
+        for i, f in enumerate(row_basis):
+            if f != 0:
+                mat[i] = [a - f * b for a, b in zip(mat[i], pivot_row)]
+    residuals = []
+    for i in r_a.space.complement_columns():
+        res = r_b.space.reduce(tuple(mat[i]))
+        if any(c != 0 for c in res):
+            residuals.append((i, res))
+    return tuple(residuals)
+
+
+def _assert_membership_matches_reference(t, r_a, r_b):
+    got = membership(t, r_a, r_b)
+    assert got == _reference_membership(t, r_a, r_b)
+    assert all(type(c) is Fraction for _, res in got for c in res)
+    return got
+
+
+def test_membership_matches_reference_on_regular_presets():
+    names = regular_presets()
+    products = (MixedProduct.identity(), MixedProduct.bracket(),
+                MixedProduct.poisson_twist())
+    leaking = 0
+    for k, name in enumerate(names):
+        p = preset(name)
+        for q in (p, dual(p), preset(names[(k + 1) % len(names)])):
+            for product in products:
+                for tgt in p.relations.basis_elements():
+                    t = expand(tgt, product)
+                    leaking += bool(_assert_membership_matches_reference(
+                        t, p.relations, q.relations))
+    assert leaking > 100
+
+
+def test_membership_matches_reference_on_symmetric_classes():
+    rng = random.Random(77)
+    modules = {
+        sym: [zero_module(sym), full_module(sym)]
+        for sym in (REGULAR, COMMUTATIVE, ANTICOMMUTATIVE)
+    }
+    modules[COMMUTATIVE].append(preset("com").relations)
+    modules[ANTICOMMUTATIVE].append(preset("lie").relations)
+    modules[REGULAR].append(preset("leib").relations)
+    for _ in range(60):
+        tgt = Weight3Element(REGULAR, tuple(
+            Fraction(rng.choice([0, 0, 1, -1, 3]), rng.choice([1, 2, 65537]))
+            for _ in range(12)))
+        product = MixedProduct(tuple(
+            Fraction(rng.randint(-2, 2)) for _ in range(4)))
+        for sym_a, sym_b in ((COMMUTATIVE, ANTICOMMUTATIVE),
+                             (ANTICOMMUTATIVE, ANTICOMMUTATIVE),
+                             (REGULAR, COMMUTATIVE)):
+            t = expand(tgt, product, sym_a, sym_b)
+            for r_a in modules[sym_a]:
+                for r_b in modules[sym_b]:
+                    _assert_membership_matches_reference(t, r_a, r_b)
 
 
 def test_minimal_companion_rejects_symmetric():
