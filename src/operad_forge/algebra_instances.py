@@ -125,7 +125,16 @@ class AlgebraInstance:
 
     @classmethod
     def from_json(cls, data: dict, name=None) -> "AlgebraInstance":
-        return cls.from_entries(data["dim"], data["structure"], name)
+        """Build from {"dim": n, "structure": [[i, j, k, value], ...]}."""
+        if not isinstance(data, dict) or not {"dim", "structure"} <= set(data):
+            raise ValueError(
+                "an instance is a JSON object with 'dim' and 'structure'")
+        entries = data["structure"]
+        if not isinstance(entries, list) or not all(
+                isinstance(e, list) and len(e) == 4 for e in entries):
+            raise ValueError(
+                "'structure' must be a list of [i, j, k, value] entries")
+        return cls.from_entries(data["dim"], entries, name)
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,10 @@ class Subspace:
         )
 
     def pivot_columns(self) -> tuple[int, ...]:
+        return self._pivots
+
+    @cached_property
+    def _pivots(self) -> tuple[int, ...]:
         return tuple(_pivot(row) for row in self.basis)
 
     def complement_columns(self) -> tuple[int, ...]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .foundation import Subspace, Vector, span, vec
@@ -156,7 +157,8 @@ def group_orbit_span(v: GroupVector) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# Isotypic decomposition via the central idempotents.
+# Isotypic decomposition: multiplicities from characters, pieces from the
+# central idempotents.
 
 Action = Callable[[Perm3, Vector], Vector]
 
@@ -187,8 +189,9 @@ def apply_idempotent(kind: str, act: Action, v: Vector) -> Vector:
 
 
 def check_invariant(s: Subspace, act: Action) -> None:
+    """Raise unless s is invariant; t12 and t23 generate the group."""
     for b in s.basis:
-        for p in PERMS:
+        for p in (T12, T23):
             if not s.contains(act(p, b)):
                 raise ValueError(
                     f"not invariant: image of a basis vector under {p.name} "
@@ -197,15 +200,34 @@ def check_invariant(s: Subspace, act: Action) -> None:
 
 
 def isotypic_multiplicities(s: Subspace, act: Action) -> IsotypicProfile:
-    """Multiplicities of the three irreducibles in an invariant subspace."""
+    """Multiplicities of the three irreducibles in an invariant subspace.
+
+    They come from the character of s.  The basis is in RREF, so the
+    coordinate of act(p, b_i) along b_i is its entry in the pivot column
+    of b_i, and chi(p) sums those entries.  The class sizes of Id, the
+    transpositions and the 3-cycles are 1, 3 and 2.
+    """
     check_invariant(s, act)
-    dims = {}
-    for kind in ("triv", "sgn", "std"):
-        images = [apply_idempotent(kind, act, b) for b in s.basis]
-        dims[kind] = span(images, s.ambient_dim).dim
-    if dims["std"] % 2 != 0:
-        raise ValueError("2-dimensional isotypic component has odd dimension")
-    return IsotypicProfile(dims["triv"], dims["sgn"], dims["std"] // 2)
+    pivots = s.pivot_columns()
+
+    def chi(p: Perm3) -> int:
+        # a sum of Fractions, added as integers over their common denominator
+        entries = [act(p, b)[i] for b, i in zip(s.basis, pivots)]
+        d = lcm(*[x.denominator for x in entries])
+        n = sum(x.numerator * (d // x.denominator) for x in entries)
+        if n % d:
+            raise ValueError(f"character value {Fraction(n, d)} on "
+                             f"{p.name} is not an integer")
+        return n // d
+
+    e, t, c = s.dim, chi(T12), chi(C1)
+    sixfold = (e + 3 * t + 2 * c, e - 3 * t + 2 * c, 2 * e - 2 * c)
+    if any(n % 6 or n < 0 for n in sixfold):
+        raise ValueError(
+            f"character ({e}, {t}, {c}) on (Id, t12, c1) is not a "
+            f"character of the symmetric group"
+        )
+    return IsotypicProfile(*(n // 6 for n in sixfold))
 
 
 def minimal_generator_count(profile: IsotypicProfile) -> int:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable, Optional, Sequence
 
-from .foundation import Subspace, Vector, full_space, kernel, span
+from .foundation import ONE, ZERO, Subspace, Vector, full_space, kernel, span
 from .group_module import (
     C1,
     C2,
@@ -31,6 +31,7 @@ from .weight_spaces import (
     ANTICOMMUTATIVE,
     COMMUTATIVE,
     LEFT,
+    PSI_INDEX,
     REGULAR,
     RIGHT,
     SymmetryClass,
@@ -260,33 +261,40 @@ def presentation_of(p: QuadraticOperad,
     return find_presentation(p, seed=seed)
 
 
+def _unit_difference(plus: int, minus: int) -> Weight3Element:
+    """The regular element m_plus - m_minus of two distinct monomials."""
+    coords = [ZERO] * 12
+    coords[plus] = ONE
+    coords[minus] = -ONE
+    return Weight3Element(REGULAR, tuple(coords))
+
+
 def tilde_generators(
     presentation: Sequence[tuple[GroupVector, GroupVector]]
 ) -> list[Weight3Element]:
-    """The regular-class generator recipe for the companion relations."""
+    """The regular-class generator recipe for the companion relations.
+
+    Every generator is psi(s_i, side) - psi(s_j, side') for two group
+    elements, so it is built from their PSI_INDEX monomials directly.
+    """
+    left, right = PSI_INDEX[LEFT], PSI_INDEX[RIGHT]
     gens: list[Weight3Element] = []
     for v, w in presentation:
-        a = [v[s] for s in PERMS]
-        b = [w[s] for s in PERMS]
+        a, b = v.coeffs, w.coeffs
         for i in range(6):
             for j in range(6):
                 if i == j:
                     continue
-                si, sj = PERMS[i], PERMS[j]
-                if a[i] * a[j] != 0 and i < j:
-                    gens.append(psi(group_vector((1, si), (-1, sj)), LEFT))
-                if b[i] * b[j] != 0 and i < j:
-                    gens.append(psi(group_vector((1, si), (-1, sj)), RIGHT))
-                if a[i] * b[j] != 0:
-                    gens.append(
-                        psi(GroupVector.basis(si), LEFT)
-                        - psi(GroupVector.basis(sj), RIGHT)
-                    )
+                if a[i] and a[j] and i < j:
+                    gens.append(_unit_difference(left[i], left[j]))
+                if b[i] and b[j] and i < j:
+                    gens.append(_unit_difference(right[i], right[j]))
+                if a[i] and b[j]:
+                    gens.append(_unit_difference(left[i], right[j]))
         # i == j mixed term: a_i b_i != 0 also contributes psi(s_i,L)-psi(s_i,R)
         for i in range(6):
-            if a[i] * b[i] != 0:
-                s = GroupVector.basis(PERMS[i])
-                gens.append(psi(s, LEFT) - psi(s, RIGHT))
+            if a[i] and b[i]:
+                gens.append(_unit_difference(left[i], right[i]))
     return gens
 
 
@@ -538,6 +546,7 @@ def operad_from_definition(data: dict) -> QuadraticOperad:
     Expected keys: `name`, `symmetry` (regular | comm | anticomm),
     `relations` (list of relation strings; comb syntax for the symmetric
     classes), optional `presentation` (list of {v, w} group-vector strings).
+    A definition of any other shape is a ValueError that names the field.
     """
     from .relation_dsl import (
         parse_comb_relation,
@@ -545,23 +554,61 @@ def operad_from_definition(data: dict) -> QuadraticOperad:
         parse_relation,
     )
 
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"an operad definition is a JSON object, got {_json_type(data)}")
+    name = data.get("name")
+    if name is not None:
+        _string(name, "name")
     sym_name = data.get("symmetry", "regular")
-    if sym_name not in _SYMMETRY_NAMES:
+    if not isinstance(sym_name, str) or sym_name not in _SYMMETRY_NAMES:
         raise ValueError(f"unknown symmetry class: {sym_name!r}")
     symmetry = _SYMMETRY_NAMES[sym_name]
     texts = data.get("relations", [])
+    if not isinstance(texts, list):
+        raise ValueError("'relations' must be a list of strings, "
+                         f"got {_json_type(texts)}")
+    texts = [_string(t, f"relations[{n}]") for n, t in enumerate(texts)]
     if symmetry is REGULAR:
         gens = [parse_relation(s) for s in texts]
     else:
         gens = [parse_comb_relation(s, symmetry) for s in texts]
     rel = orbit_span(gens, symmetry) if gens else zero_module(symmetry)
-    pres = None
-    if data.get("presentation"):
-        pres = tuple(
-            (parse_group_vector(e["v"]), parse_group_vector(e["w"]))
-            for e in data["presentation"]
-        )
-    return QuadraticOperad(symmetry, rel, pres, data.get("name"))
+    entries = data.get("presentation")
+    if entries is None:
+        entries = []
+    if not isinstance(entries, list):
+        raise ValueError("'presentation' must be a list of {v, w} objects, "
+                         f"got {_json_type(entries)}")
+    pairs = []
+    for n, entry in enumerate(entries):
+        field = f"presentation[{n}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"'{field}' must be a {{v, w}} object, "
+                             f"got {_json_type(entry)}")
+        for k in "vw":
+            if k not in entry:
+                raise ValueError(f"'{field}' has no '{k}'")
+        v, w = (_string(entry[k], f"{field}.{k}") for k in "vw")
+        pairs.append((parse_group_vector(v), parse_group_vector(w)))
+    return QuadraticOperad(symmetry, rel, tuple(pairs) or None, name)
+
+
+def _string(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(
+            f"'{field}' must be a string, got {_json_type(value)}")
+    return value
+
+
+def _json_type(value) -> str:
+    """The JSON name of a decoded value's type, for error messages."""
+    for kind, name in ((bool, "a boolean"), ((int, float), "a number"),
+                       (str, "a string"), (list, "an array"),
+                       (dict, "an object")):
+        if isinstance(value, kind):
+            return name
+    return "null" if value is None else type(value).__name__
 
 
 def regular_presets() -> list[str]:

@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .foundation import Vector, zero_vector
+from .foundation import ZERO, Vector, zero_vector
 from .group_module import PERMS, GroupVector, Perm3
 
 
@@ -231,18 +231,21 @@ def projection_matrix(target: SymmetryClass) -> list[Vector]:
     return [tuple(col[p] for col in cols) for p in range(3)]
 
 
+# PSI_INDEX[side][n] is the monomial index of PERMS[n] applied to the
+# identity-label monomial of that shape.
+PSI_INDEX = {side: tuple(act_monomial(sigma, Monomial3(side, (1, 2, 3))).index
+                         for sigma in PERMS)
+             for side in (LEFT, RIGHT)}
+
+
 def psi(v: GroupVector, side: str) -> Weight3Element:
     """The one-shape translation maps applied to the identity-label monomial."""
     if side not in (LEFT, RIGHT):
         raise ValueError(f"side must be 'L' or 'R', got {side!r}")
-    base = Monomial3(side, (1, 2, 3))
-    out = Weight3Element.zero(REGULAR)
-    for sigma in PERMS:
-        c = v[sigma]
-        if c != 0:
-            m = act_monomial(sigma, base)
-            out = out + Weight3Element.monomial(m.shape, m.labels, c)
-    return out
+    coords = [ZERO] * 12
+    for i, c in zip(PSI_INDEX[side], v.coeffs):
+        coords[i] = c
+    return Weight3Element(REGULAR, tuple(coords))
 
 
 def decompose_LR(x: Weight3Element) -> tuple[GroupVector, GroupVector]:
@@ -252,14 +255,8 @@ def decompose_LR(x: Weight3Element) -> tuple[GroupVector, GroupVector]:
             "symmetric class requires explicit presentation; "
             "decompose_LR is only defined on the regular class"
         )
-    v: dict[Perm3, Fraction] = {}
-    w: dict[Perm3, Fraction] = {}
-    for sigma in PERMS:
-        lm = act_monomial(sigma, Monomial3(LEFT, (1, 2, 3)))
-        rm = act_monomial(sigma, Monomial3(RIGHT, (1, 2, 3)))
-        v[sigma] = x.coords[lm.index]
-        w[sigma] = -x.coords[rm.index]
-    return GroupVector.from_dict(v), GroupVector.from_dict(w)
+    return (GroupVector(tuple(x.coords[i] for i in PSI_INDEX[LEFT])),
+            GroupVector(tuple(-x.coords[i] for i in PSI_INDEX[RIGHT])))
 
 
 ASSOCIATOR = (

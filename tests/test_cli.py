@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from operad_forge.algebra_instances import example
 from operad_forge.cli import run
@@ -79,6 +83,39 @@ def test_show_bad_definition_file_exits_2(tmp_path, capsys):
     code, _, err = _run(capsys, "show", str(path))
     assert code == 2
     assert "error" in err
+
+
+_LEIB = "x*(y*z) - (x*y)*z + (x*z)*y"
+
+
+@pytest.mark.parametrize("definition,field", [
+    pytest.param([1, 2], "JSON object", id="array"),
+    pytest.param("str", "JSON object", id="string"),
+    pytest.param(None, "JSON object", id="null"),
+    pytest.param({"relations": 5}, "'relations'", id="relations-number"),
+    pytest.param({"relations": [5]}, "'relations[0]'", id="relation-number"),
+    pytest.param({"symmetry": ["comm"]}, "symmetry", id="symmetry-array"),
+    pytest.param({"name": 5}, "'name'", id="name-number"),
+    pytest.param({"relations": [_LEIB], "presentation": [5]},
+                 "'presentation[0]'", id="presentation-entry-number"),
+    pytest.param({"relations": [_LEIB],
+                  "presentation": {"v": "Id", "w": "Id"}},
+                 "'presentation'", id="presentation-object"),
+    pytest.param({"relations": [_LEIB],
+                  "presentation": [{"v": 5, "w": "Id"}]},
+                 "'presentation[0].v'", id="presentation-v-number"),
+    pytest.param({"relations": [_LEIB], "presentation": [{"v": "Id"}]},
+                 "'presentation[0]' has no 'w'", id="presentation-no-w"),
+])
+def test_show_malformed_definition_exits_2(tmp_path, capsys, definition,
+                                           field):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(definition))
+    code, out, err = _run(capsys, "show", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_tilde_subcommand(capsys):
@@ -301,3 +338,78 @@ def test_usage_error_exits_2(capsys):
     assert run(["frobnicate"]) == 2
     assert run(["verify", "nosuchcheck"]) == 2
     capsys.readouterr()
+
+
+# --- fuzzing the file inputs --------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+_RELATION_TEXTS = st.sampled_from([
+    _LEIB, "(x*y)*z - x*(y*z)", "m1+m2+m3", "m1 - m2", "(x*x)*z", "", "x*",
+    "1/0*(x*y)*z", "(x*y)*z - 1/2*x*(y*z)",
+]) | st.text(max_size=10)
+_GROUP_TEXTS = st.sampled_from(
+    ["Id", "Id - t23", "c1 + c2", "t12 -", "1/0*Id", "2*t13"]
+) | st.text(max_size=6)
+_OPERADS = _JSON | st.fixed_dictionaries({}, optional={
+    "name": st.text(max_size=5) | _JSON,
+    "symmetry": st.sampled_from(["regular", "comm", "anticomm", "x"]) | _JSON,
+    "relations": st.lists(_RELATION_TEXTS | _JSON, max_size=2) | _JSON,
+    "presentation": st.lists(
+        st.fixed_dictionaries({}, optional={"v": _GROUP_TEXTS | _JSON,
+                                            "w": _GROUP_TEXTS | _JSON})
+        | _JSON, max_size=2) | _JSON,
+})
+_ENTRIES = st.tuples(
+    st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+    st.integers(-2, 2) | st.sampled_from(["1/2", "1/0", "x"]),
+).map(list)
+_INSTANCES = _JSON | st.fixed_dictionaries({
+    "dim": st.integers(0, 4) | _JSON,
+    "structure": st.lists(_ENTRIES, max_size=4) | _JSON,
+})
+FUZZ = settings(max_examples=150, derandomize=True, deadline=None)
+
+
+def _run_on_file(path, text, argv):
+    """run() on argv after writing text to path: (code, stdout, stderr)."""
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_exit_contract(code, out, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert "verified: false" in out
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@FUZZ
+@given(_OPERADS.map(json.dumps) | st.text(max_size=20))
+def test_fuzzed_operad_definitions_keep_the_exit_contract(fuzz_dir, text):
+    path = fuzz_dir / "operad.json"
+    _assert_exit_contract(*_run_on_file(
+        path, text, ["show", str(path), "--isotypic", "--dual", "--tilde"]))
+
+
+@FUZZ
+@given(_INSTANCES.map(json.dumps) | st.text(max_size=20))
+def test_fuzzed_instances_keep_the_exit_contract(fuzz_dir, text):
+    path = fuzz_dir / "instance.json"
+    _assert_exit_contract(*_run_on_file(
+        path, text, ["instance", "check", str(path), "--operad", "leib"]))

@@ -1,7 +1,19 @@
-import pytest
+from fractions import Fraction
+from functools import partial
 
-from operad_forge.foundation import full_space
-from operad_forge.group_module import ID, IsotypicProfile, GroupVector
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from operad_forge.foundation import combine, full_space, span
+from operad_forge.group_module import (
+    ID,
+    PERMS,
+    GroupVector,
+    IsotypicProfile,
+    apply_idempotent,
+    group_vector,
+)
 from operad_forge.operad_calculus import (
     QuadraticOperad,
     RelationModule,
@@ -14,10 +26,12 @@ from operad_forge.operad_calculus import (
     operads_equal,
     orbit_span,
     preset,
+    presentation_of,
     presented_relation,
     rank,
     regular_presets,
     tilde,
+    tilde_generators,
     zero_module,
     PRESET_NAMES,
 )
@@ -25,11 +39,19 @@ from operad_forge.relation_dsl import parse_relation
 from operad_forge.weight_spaces import (
     ANTICOMMUTATIVE,
     COMMUTATIVE,
+    LEFT,
     REGULAR,
+    RIGHT,
+    SymmetryClass,
     Weight3Element,
+    act_vector,
     associator,
     comb_in,
+    psi,
 )
+
+from test_group_module import reference_isotypic_multiplicities
+from test_weight_spaces import reference_psi
 
 
 def test_orbit_span_of_associator_is_six_dimensional():
@@ -269,3 +291,102 @@ def test_operad_from_definition_symmetric():
 def test_operad_from_definition_bad_symmetry():
     with pytest.raises(ValueError):
         operad_from_definition({"symmetry": "cyclic", "relations": []})
+
+
+# --- table-driven Sigma_3 work against the Fraction-sum references -----------
+
+
+def reference_tilde_generators(presentation):
+    """The tilde recipe through psi on group vectors, one term at a time."""
+    gens = []
+    for v, w in presentation:
+        a = [v[s] for s in PERMS]
+        b = [w[s] for s in PERMS]
+        for i in range(6):
+            for j in range(6):
+                if i == j:
+                    continue
+                si, sj = PERMS[i], PERMS[j]
+                if a[i] * a[j] != 0 and i < j:
+                    gens.append(reference_psi(
+                        group_vector((1, si), (-1, sj)), LEFT))
+                if b[i] * b[j] != 0 and i < j:
+                    gens.append(reference_psi(
+                        group_vector((1, si), (-1, sj)), RIGHT))
+                if a[i] * b[j] != 0:
+                    gens.append(
+                        reference_psi(GroupVector.basis(si), LEFT)
+                        - reference_psi(GroupVector.basis(sj), RIGHT)
+                    )
+        for i in range(6):
+            if a[i] * b[i] != 0:
+                s = GroupVector.basis(PERMS[i])
+                gens.append(reference_psi(s, LEFT) - reference_psi(s, RIGHT))
+    return gens
+
+
+def _assert_isotypic_matches_reference(r: RelationModule):
+    act = partial(act_vector, r.symmetry)
+    assert r.isotypic() == reference_isotypic_multiplicities(r.space, act)
+
+
+def _assert_tables_match_references(p: QuadraticOperad, seeds=(0, 1, 2)):
+    """Isotypic profile and tilde recipe of p, dual(p) and tilde(p, seed)."""
+    for seed in seeds:
+        for q in (p, dual(p), tilde(p, seed=seed)):
+            _assert_isotypic_matches_reference(q.relations)
+            pres = presentation_of(q, seed=seed)
+            for v, w in pres:
+                assert psi(v, LEFT) == reference_psi(v, LEFT)
+                assert psi(w, RIGHT) == reference_psi(w, RIGHT)
+            assert tilde_generators(pres) == reference_tilde_generators(pres)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_match_fraction_references(name):
+    _assert_tables_match_references(preset(name))
+
+
+def _report_symmetric_modules(symmetry: SymmetryClass):
+    """The sums of isotypic pieces that the reference report enumerates."""
+    units = full_space(symmetry.dim).basis
+    action = partial(act_vector, symmetry)
+    pieces = [span([apply_idempotent(kind, action, u) for u in units],
+                   symmetry.dim) for kind in ("triv", "sgn", "std")]
+    pieces = [sp for sp in pieces if sp.dim]
+    modules = []
+    for mask in range(2 ** len(pieces)):
+        space = span([], symmetry.dim)
+        for i, sp in enumerate(pieces):
+            if mask & (1 << i):
+                space = combine(space, sp, "sum")
+        modules.append(RelationModule(symmetry, space))
+    return modules
+
+
+def test_report_symmetric_modules_match_fraction_references():
+    modules = (_report_symmetric_modules(COMMUTATIVE)
+               + _report_symmetric_modules(ANTICOMMUTATIVE))
+    assert len(modules) == 8
+    for r in modules:
+        _assert_tables_match_references(QuadraticOperad(r.symmetry, r))
+
+
+_SPARSE = st.sampled_from([Fraction(0)] * 5 + [Fraction(1), Fraction(-1),
+                                               Fraction(2), Fraction(1, 2)])
+
+
+def _sparse_elements(symmetry):
+    return st.lists(_SPARSE, min_size=symmetry.dim,
+                    max_size=symmetry.dim).map(
+        lambda cs: Weight3Element(symmetry, tuple(cs)))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from([REGULAR, COMMUTATIVE, ANTICOMMUTATIVE]).flatmap(
+    lambda sym: st.lists(_sparse_elements(sym), min_size=1, max_size=2)))
+def test_random_orbit_spans_match_fraction_references(xs):
+    r = orbit_span(xs, xs[0].symmetry)
+    _assert_isotypic_matches_reference(r)
+    pres = presentation_of(QuadraticOperad(r.symmetry, r))
+    assert tilde_generators(pres) == reference_tilde_generators(pres)

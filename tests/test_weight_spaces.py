@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from operad_forge.group_module import C1, ID, PERMS, T12, T23, group_vector
 from operad_forge.weight_spaces import (
@@ -10,6 +12,7 @@ from operad_forge.weight_spaces import (
     COMMUTATIVE,
     LEFT,
     MONOMIALS,
+    PSI_INDEX,
     REGULAR,
     RIGHT,
     Monomial3,
@@ -25,6 +28,8 @@ from operad_forge.weight_spaces import (
     projection_matrix,
     psi,
 )
+
+from conftest import group_vectors
 
 
 def test_dimension_of_weight_spaces():
@@ -143,6 +148,30 @@ def test_psi_identity():
     assert ASSOCIATOR == psi(group_vector((1, ID)), LEFT) - psi(
         group_vector((1, ID)), RIGHT
     )
+
+
+def reference_psi(v, side):
+    """psi as a sum of one monomial per group element, entry by entry."""
+    base = Monomial3(side, (1, 2, 3))
+    out = Weight3Element.zero(REGULAR)
+    for sigma in PERMS:
+        c = v[sigma]
+        if c != 0:
+            m = act_monomial(sigma, base)
+            out = out + Weight3Element.monomial(m.shape, m.labels, c)
+    return out
+
+
+def test_psi_index_places_each_shape_bijectively():
+    assert sorted(PSI_INDEX[LEFT]) == list(range(6))
+    assert sorted(PSI_INDEX[RIGHT]) == list(range(6, 12))
+    assert PSI_INDEX[LEFT][0] == Monomial3(LEFT, (1, 2, 3)).index
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(group_vectors(), st.sampled_from([LEFT, RIGHT]))
+def test_psi_matches_the_monomial_loop(v, side):
+    assert psi(v, side) == reference_psi(v, side)
 
 
 def test_psi_rejects_bad_side():
