@@ -64,7 +64,9 @@ class AlgebraInstance:
 
         dim and the indices must be ints.  A value is an int, a Fraction or
         a string such as "1/10"; a float or a bool is refused, because a
-        float's binary value is not the decimal that was written.
+        float's binary value is not the decimal that was written, and so is
+        a string with an exponent such as "1e1000000", whose power of ten
+        Fraction would compute.
         """
         _check_dim(dim)
         c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
@@ -75,7 +77,8 @@ class AlgebraInstance:
                     f"indices in 1..{dim}"
                 )
             try:
-                if isinstance(value, (bool, float)):
+                if isinstance(value, (bool, float)) or (
+                        isinstance(value, str) and "e" in value.lower()):
                     raise TypeError("inexact coefficient")
                 c[i - 1][j - 1][k - 1] += Fraction(value)
             except (ZeroDivisionError, ValueError, TypeError):

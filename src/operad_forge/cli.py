@@ -52,16 +52,10 @@ from .weight_spaces import (
     COMMUTATIVE,
     REGULAR,
     act_vector,
+    lift,
 )
 
 SCHEMA_VERSION = 1
-
-_SYMMETRY_LABEL = {
-    REGULAR: "regular",
-    COMMUTATIVE: "comm",
-    ANTICOMMUTATIVE: "anticomm",
-}
-
 
 @dataclass
 class Section:
@@ -159,7 +153,7 @@ def _relation_rows(rel: RelationModule) -> list[list[str]]:
 def _operad_section(p: QuadraticOperad) -> Section:
     s = Section("operad", ["field", "value"])
     s.rows.append(["name", p.name or "(unnamed)"])
-    s.rows.append(["symmetry", _SYMMETRY_LABEL[p.symmetry]])
+    s.rows.append(["symmetry", p.symmetry.value])
     s.rows.append(["relation dimension", str(p.relations.dim)])
     s.rows.append(["rank", str(rank(p.relations))])
     return s
@@ -210,7 +204,7 @@ def _cmd_show(args) -> int:
         s.rows = _relation_rows(d.relations)
         report.sections.append(s)
         cmp_sec = Section("dual comparison", ["field", "value"])
-        cmp_sec.rows.append(["dual symmetry", _SYMMETRY_LABEL[d.symmetry]])
+        cmp_sec.rows.append(["dual symmetry", d.symmetry.value])
         cmp_sec.rows.append(["dual dimension", str(d.relations.dim)])
         same = (
             d.symmetry is p.symmetry
@@ -224,7 +218,7 @@ def _cmd_show(args) -> int:
         s.rows = _relation_rows(t.relations)
         report.sections.append(s)
         cmp_sec = Section("tilde comparison", ["field", "value"])
-        cmp_sec.rows.append(["tilde symmetry", _SYMMETRY_LABEL[t.symmetry]])
+        cmp_sec.rows.append(["tilde symmetry", t.symmetry.value])
         cmp_sec.rows.append(["tilde dimension", str(t.relations.dim)])
         d = dual(p)
         same = (
@@ -289,18 +283,24 @@ def _cmd_verify(args) -> int:
     elif args.what == "negative":
         p = _load_operad(args.p)
         q = _load_operad(args.q)
+        # Lifts decide closure only against a comm --q (see theorem1_check).
+        if p.symmetry is not REGULAR and q.symmetry is not COMMUTATIVE:
+            raise ValueError(
+                f"--p of class {p.symmetry.value} is checked only against "
+                f"--q of class comm, got {q.symmetry.value}")
+        basis = p.relations.basis_elements()
         ok, certs = closure_holds(
             p.relations, q.relations, MixedProduct.identity(),
-            p.relations.basis_elements(),
+            [lift(x) for x in basis],
         )
         report = Report("non-closure verification")
         s = Section(
             "residuals", ["target relation", "absorbed", "certificate"]
         )
-        for cert in certs:
+        for x, cert in zip(basis, certs):
             s.rows.append(
                 [
-                    format_weight3(cert.target),
+                    format_weight3(x),
                     str(cert.holds).lower(),
                     cert.describe(),
                 ]
@@ -503,12 +503,12 @@ def _symmetric_enumeration_section(seed: int) -> Section:
             same = comparable and d.relations.space == t.relations.space
             s.rows.append(
                 [
-                    _SYMMETRY_LABEL[symmetry],
+                    symmetry.value,
                     label,
                     str(module.dim),
                     _known_symmetric_label(p),
                     str(t.relations.dim),
-                    _SYMMETRY_LABEL[d.symmetry],
+                    d.symmetry.value,
                     str(d.relations.dim),
                     str(same).lower() if comparable else "n/a",
                 ]
@@ -580,10 +580,10 @@ def _cmd_report(args) -> int:
         s.rows.append(
             [
                 name,
-                _SYMMETRY_LABEL[p.symmetry],
+                p.symmetry.value,
                 str(p.relations.dim),
                 str(rank(p.relations)),
-                _SYMMETRY_LABEL[t.symmetry],
+                t.symmetry.value,
                 str(t.relations.dim),
             ]
         )

@@ -5,7 +5,9 @@ monomials (x_i*x_j)*x_k (Left shape) and x_i*(x_j*x_k) (Right shape) over
 the six arrangements of (1,2,3).  For a commutative or anticommutative
 operation the space collapses to the 3-dimensional comb basis
 m1 = (x1*x2)*x3, m2 = (x2*x3)*x1, m3 = (x3*x1)*x2, indexed by the
-unordered inner pair.
+unordered inner pair.  The projection onto a class is one signed table,
+PROJECTION, built at import; project, the action tables and the tensor
+expansion all read it.
 """
 
 from __future__ import annotations
@@ -167,36 +169,38 @@ def lift(x: Weight3Element) -> Weight3Element:
     return Weight3Element(REGULAR, tuple(coords))
 
 
-def project(x: Weight3Element, target: SymmetryClass) -> Weight3Element:
-    """Rewrite a regular element into the comb basis of a symmetric quotient.
+def _comb_coordinate(m: Monomial3, target: SymmetryClass) -> tuple[int, int]:
+    """(comb coordinate, sign) of the monomial m in a symmetric quotient.
 
     Commutative: the inner pair is unordered and x_i*(x_j*x_k) = (x_j*x_k)*x_i.
     Anticommutative: (a*b) = -(b*a) and c*(a*b) = -(a*b)*c, so each rewrite
     step contributes a sign.
     """
+    i, j, k = m.labels
+    pair, sign = ((i, j), 1) if m.shape == LEFT else ((j, k), -1)
+    p = COMB_BY_SET[frozenset(pair)]
+    if target is COMMUTATIVE:
+        return p, 1
+    return p, sign if pair == COMB_PAIRS[p] else -sign
+
+
+# PROJECTION[symmetry][n] is the signed coordinate of MONOMIALS[n] in that
+# class: the identity for REGULAR, the comb rewriting otherwise.
+PROJECTION = {
+    symmetry: tuple((m.index, 1) if symmetry is REGULAR
+                    else _comb_coordinate(m, symmetry) for m in MONOMIALS)
+    for symmetry in SymmetryClass
+}
+
+
+def project(x: Weight3Element, target: SymmetryClass) -> Weight3Element:
+    """The image of a regular element in a symmetry class, by PROJECTION."""
     if x.symmetry is not REGULAR:
         raise ValueError("project expects a regular-class element")
-    if target is REGULAR:
-        return x
-    coords = [Fraction(0)] * 3
-    anti = target is ANTICOMMUTATIVE
-    for m in MONOMIALS:
-        c = x.coords[m.index]
-        if c == 0:
-            continue
-        i, j, k = m.labels
-        if m.shape == LEFT:
-            pair, sign = (i, j), 1
-        else:
-            # x_i*(x_j*x_k) -> -(x_j*x_k)*x_i in the anticommutative case
-            pair, sign = (j, k), -1
-        idx = COMB_BY_SET[frozenset(pair)]
-        if anti:
-            if pair != COMB_PAIRS[idx]:
-                sign = -sign
-            coords[idx] += c * sign
-        else:
-            coords[idx] += c
+    coords = [ZERO] * target.dim
+    for (p, s), c in zip(PROJECTION[target], x.coords):
+        if c:
+            coords[p] += c if s > 0 else -c
     return Weight3Element(target, tuple(coords))
 
 
@@ -210,25 +214,13 @@ def _action_table(symmetry: SymmetryClass,
     """
     table: list = [None] * symmetry.dim
     for i, m in enumerate(MONOMIALS if symmetry is REGULAR else COMB_LIFTS):
-        image = act_monomial(sigma, m)
-        y = project(Weight3Element.monomial(image.shape, image.labels),
-                    symmetry).coords
-        j = next(j for j, c in enumerate(y) if c)
-        table[j] = (i, int(y[j]))
+        j, s = PROJECTION[symmetry][act_monomial(sigma, m).index]
+        table[j] = (i, s)
     return tuple(table)
 
 
 ACTION_TABLE = {(symmetry, sigma): _action_table(symmetry, sigma)
                 for symmetry in SymmetryClass for sigma in PERMS}
-
-
-def projection_matrix(target: SymmetryClass) -> list[Vector]:
-    """Rows are the comb coordinates of each of the 12 regular monomials."""
-    cols = [
-        project(Weight3Element.monomial(m.shape, m.labels), target).coords
-        for m in MONOMIALS
-    ]
-    return [tuple(col[p] for col in cols) for p in range(3)]
 
 
 # PSI_INDEX[side][n] is the monomial index of PERMS[n] applied to the

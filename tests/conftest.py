@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 from operad_forge.group_module import PERMS, GroupVector
 from operad_forge.weight_spaces import (
     ANTICOMMUTATIVE,
+    COMB_PAIRS,
     COMMUTATIVE,
+    LEFT,
+    MONOMIALS,
     REGULAR,
     Weight3Element,
 )
@@ -39,3 +42,27 @@ def weight_elements(symmetry=REGULAR):
 
 def any_symmetry():
     return st.sampled_from([REGULAR, COMMUTATIVE, ANTICOMMUTATIVE])
+
+
+def reference_project(x, target):
+    """`project` before PROJECTION: rewrite comb pairs monomial by monomial."""
+    if target is REGULAR:
+        return x
+    coords = [Fraction(0)] * 3
+    for m in MONOMIALS:
+        c = x.coords[m.index]
+        if c == 0:
+            continue
+        i, j, k = m.labels
+        if m.shape == LEFT:
+            pair, sign = (i, j), 1
+        else:
+            pair, sign = (j, k), -1
+        idx = next(n for n, q in enumerate(COMB_PAIRS) if set(q) == set(pair))
+        if target is ANTICOMMUTATIVE:
+            if pair != COMB_PAIRS[idx]:
+                sign = -sign
+            coords[idx] += c * sign
+        else:
+            coords[idx] += c
+    return Weight3Element(target, tuple(coords))

@@ -56,7 +56,8 @@ def test_entry_indices_outside_the_basis_are_rejected(entry):
     assert "indices in 1..2" in str(err.value)
 
 
-@pytest.mark.parametrize("value", ["1/0", "x", None, 0.1, 2.0, True])
+@pytest.mark.parametrize("value", ["1/0", "x", None, 0.1, 2.0, True,
+                                   "1e1000000", "1E5", "2e-3"])
 def test_entry_coefficients_must_be_rational(value):
     with pytest.raises(ValueError) as err:
         AlgebraInstance.from_entries(2, [(1, 1, 2, value)])
@@ -69,7 +70,7 @@ def test_entry_coefficients_must_be_rational(value):
 
 @pytest.mark.parametrize("value,want", [
     (3, Fraction(3)), ("1/10", Fraction(1, 10)), ("-2", Fraction(-2)),
-    (Fraction(2, 7), Fraction(2, 7)),
+    (Fraction(2, 7), Fraction(2, 7)), ("0.5", Fraction(1, 2)),
 ])
 def test_exact_coefficients_load(value, want):
     alg = AlgebraInstance.from_json({"dim": 2, "structure": [[1, 1, 2, value]]})

@@ -168,6 +168,40 @@ def test_verify_negative_closure_that_holds_fails(capsys):
     assert json.loads(out)["verified"] is False
 
 
+@pytest.mark.parametrize("p,q", [("lie", "com"), ("com", "com")])
+def test_verify_negative_symmetric_p_checks_lifts(capsys, p, q):
+    # Lie (x) Com and Com (x) Com close, so the non-closure claim is refuted
+    code, out, err = _run(capsys, "verify", "negative", "--p", p, "--q", q,
+                          "--json")
+    assert code == 1 and err == ""
+    data = json.loads(out)
+    assert data["verified"] is False
+    rows = data["sections"][0]["rows"]
+    assert [row[0] for row in rows] == {
+        "lie": ["m1 + m2 + m3"], "com": ["m1 - m3", "m2 - m3"]}[p]
+    assert all(row[1] == "true" for row in rows)
+
+
+def test_verify_negative_symmetric_p_needs_commutative_q(capsys):
+    code, out, err = _run(capsys, "verify", "negative", "--p", "lie",
+                          "--q", "lie")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: --p of class anticomm is checked only against "
+                   "--q of class comm, got anticomm\n")
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (("verify", "negative", "--p", "leib", "--q", "zinb"),
+     "verify_negative_leib_zinb.txt"),
+    (("verify", "theorem1", "--all-presets"), "verify_theorem1_all.txt"),
+])
+def test_verify_matches_golden(capsys, argv, golden):
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_companion(capsys):
     code, out, _ = _run(capsys, "companion", "poiss")
     assert code == 0
@@ -203,6 +237,8 @@ def test_instance_check_fail(tmp_path, capsys):
     pytest.param([1, 1, 2, "1/0"], "rational coefficient", id="1/0"),
     pytest.param([1, 1, 2, "x"], "rational coefficient", id="x"),
     pytest.param([1, 1, 2, 0.1], "rational coefficient", id="0.1"),
+    pytest.param([1, 1, 2, "1e1000000"], "rational coefficient",
+                 id="1e1000000"),
     pytest.param([True, 1, 2, "1"], "indices in 1..3", id="true"),
 ])
 def test_instance_check_index_outside_basis_exits_2(tmp_path, capsys, entry,

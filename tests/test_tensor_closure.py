@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction
+from functools import cache, partial
 
 import pytest
 
-from operad_forge.foundation import span
-from operad_forge.group_module import PERMS
+from operad_forge.foundation import combine, full_space, span
+from operad_forge.group_module import PERMS, apply_idempotent
 from operad_forge.operad_calculus import (
     QuadraticOperad,
     RelationModule,
     dual,
     full_module,
     orbit_span,
+    presentation_of,
     preset,
     regular_presets,
     tilde,
@@ -19,6 +21,7 @@ from operad_forge.operad_calculus import (
 from operad_forge.relation_dsl import parse_relation
 from operad_forge.tensor_closure import (
     E2,
+    PAIR_KEYS,
     MixedProduct,
     SWAP,
     TensorElement3,
@@ -43,8 +46,14 @@ from operad_forge.weight_spaces import (
     RIGHT,
     Monomial3,
     Weight3Element,
+    act,
+    act_vector,
     associator,
+    lift,
+    psi,
 )
+
+from conftest import reference_project
 
 
 def test_apply_node_swaps():
@@ -316,3 +325,146 @@ def test_tensor_element_helpers():
         tuple((Fraction(0),) * 12 for _ in range(12)),
     )
     assert zero.is_zero()
+
+
+@cache
+def _reference_projection_matrix(target):
+    """Rows are the comb coordinates of each of the 12 regular monomials."""
+    cols = [
+        reference_project(Weight3Element.monomial(m.shape, m.labels),
+                          target).coords
+        for m in MONOMIALS
+    ]
+    return [tuple(col[p] for col in cols) for p in range(3)]
+
+
+def _reference_matmul(a, b):
+    return [
+        [sum((x * y for x, y in zip(row, col)), Fraction(0))
+         for col in zip(*b)]
+        for row in a
+    ]
+
+
+def _reference_regular_expand(relation, product):
+    """`expand` before PROJECTION, first step: the 12 x 12 regular matrix."""
+    mat = [[Fraction(0)] * 12 for _ in range(12)]
+    for m in MONOMIALS:
+        c = relation.coords[m.index]
+        if c == 0:
+            continue
+        for s_r, t_r in PAIR_KEYS:
+            a_r = product[(s_r, t_r)]
+            if a_r == 0:
+                continue
+            for s_i, t_i in PAIR_KEYS:
+                a_i = product[(s_i, t_i)]
+                if a_i == 0:
+                    continue
+                ma = apply_node_swaps(m, s_r == SWAP, s_i == SWAP)
+                mb = apply_node_swaps(m, t_r == SWAP, t_i == SWAP)
+                mat[ma.index][mb.index] += c * a_r * a_i
+    return mat
+
+
+def _reference_project_rows(mat, symmetry):
+    """`expand` before PROJECTION, second step: the A factor multiplied by
+    its 3 x 12 projection matrix."""
+    if symmetry is REGULAR:
+        return mat
+    return _reference_matmul(_reference_projection_matrix(symmetry), mat)
+
+
+def _reference_project_columns(mat, symmetry):
+    """`expand` before PROJECTION, last step: the same for the B factor."""
+    if symmetry is not REGULAR:
+        pb = _reference_projection_matrix(symmetry)
+        mat = zip(*_reference_matmul(pb, [list(c) for c in zip(*mat)]))
+    return tuple(tuple(row) for row in mat)
+
+
+CLASSES = (REGULAR, COMMUTATIVE, ANTICOMMUTATIVE)
+
+
+def test_expand_matches_projection_matrix_reference():
+    rng = random.Random(8)
+    for _ in range(200):
+        tgt = Weight3Element(REGULAR, tuple(
+            Fraction(rng.choice([0, 0, 0, 1, -1, 2]), rng.choice([1, 3]))
+            for _ in range(12)))
+        product = MixedProduct(tuple(
+            Fraction(rng.choice([0, 1, -1, 2, 3]), rng.choice([1, 2]))
+            for _ in range(4)))
+        regular = _reference_regular_expand(tgt, product)
+        for sym_a in CLASSES:
+            rows = _reference_project_rows(regular, sym_a)
+            for sym_b in CLASSES:
+                got = expand(tgt, product, sym_a, sym_b)
+                assert got == TensorElement3(
+                    sym_a, sym_b, _reference_project_columns(rows, sym_b))
+                assert all(type(c) is Fraction
+                           for row in got.coords for c in row)
+
+
+def _reference_symmetric_targets(p):
+    """theorem1_check's symmetric targets before lifts: the regular
+    template psi(v, L) - psi(w, R) of each presentation pair and its orbit."""
+    return [act(sigma, psi(v, LEFT) - psi(w, RIGHT))
+            for v, w in presentation_of(p) for sigma in PERMS]
+
+
+def _symmetric_enumeration(symmetry):
+    """The invariant submodules of a symmetric class: every sum of its
+    isotypic pieces, as the report's symmetric enumeration builds them."""
+    action = partial(act_vector, symmetry)
+    pieces = [span([apply_idempotent(kind, action, u)
+                    for u in full_space(3).basis], 3)
+              for kind in ("triv", "sgn", "std")]
+    pieces = [sp for sp in pieces if sp.dim]
+    modules = []
+    for mask in range(2 ** len(pieces)):
+        space = span([], 3)
+        for i, sp in enumerate(pieces):
+            if mask & (1 << i):
+                space = combine(space, sp, "sum")
+        modules.append(RelationModule(symmetry, space))
+    return modules
+
+
+def test_symmetric_lift_targets_match_orbit_targets():
+    rng = random.Random(5)
+    operads = [preset("lie"), preset("com")]
+    for symmetry in (COMMUTATIVE, ANTICOMMUTATIVE):
+        operads += [QuadraticOperad(symmetry, m)
+                    for m in _symmetric_enumeration(symmetry)]
+        for _ in range(4):
+            gen = Weight3Element(symmetry, tuple(
+                Fraction(rng.randint(-3, 3)) for _ in range(3)))
+            operads.append(
+                QuadraticOperad(symmetry, orbit_span([gen], symmetry)))
+    companions = _symmetric_enumeration(COMMUTATIVE)
+    assert len(operads) == 18 and len(companions) == 4
+    products = (MixedProduct.identity(), MixedProduct.bracket(),
+                MixedProduct.poisson_twist(),
+                MixedProduct.from_dict({(E2, SWAP): 2, (SWAP, E2): -1}))
+    verdicts = {COMMUTATIVE: set(), ANTICOMMUTATIVE: set()}
+    for p in operads:
+        lifts = [lift(x) for x in p.relations.basis_elements()]
+        orbits = _reference_symmetric_targets(p)
+        for r_b in companions:
+            for product in products:
+                got, _ = closure_holds(p.relations, r_b, product, lifts)
+                want, _ = closure_holds(p.relations, r_b, product, orbits)
+                assert got == want
+                verdicts[p.symmetry].add(got)
+    assert verdicts == {COMMUTATIVE: {True, False},
+                        ANTICOMMUTATIVE: {True, False}}
+
+
+def test_theorem1_symmetric_targets_are_lifts():
+    for name in ("lie", "com"):
+        p = preset(name)
+        ok, certs = theorem1_check(p)
+        assert ok
+        assert [c.target for c in certs] == [
+            lift(x) for x in p.relations.basis_elements()]

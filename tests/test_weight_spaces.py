@@ -12,6 +12,7 @@ from operad_forge.weight_spaces import (
     COMMUTATIVE,
     LEFT,
     MONOMIALS,
+    PROJECTION,
     PSI_INDEX,
     REGULAR,
     RIGHT,
@@ -25,11 +26,10 @@ from operad_forge.weight_spaces import (
     decompose_LR,
     lift,
     project,
-    projection_matrix,
     psi,
 )
 
-from conftest import group_vectors
+from conftest import group_vectors, reference_project
 
 
 def test_dimension_of_weight_spaces():
@@ -128,17 +128,25 @@ def test_project_is_equivariant():
             assert project(act(p, x), symmetry) == act(p, project(x, symmetry))
 
 
-def test_projection_matrix_shape():
-    for symmetry in (COMMUTATIVE, ANTICOMMUTATIVE):
-        mat = projection_matrix(symmetry)
-        assert len(mat) == 3
-        assert all(len(row) == 12 for row in mat)
-        # column m of the matrix is project(m)
-        m = Monomial3(RIGHT, (2, 3, 1))
-        col = tuple(row[m.index] for row in mat)
-        assert col == project(
-            Weight3Element.monomial(m.shape, m.labels), symmetry
-        ).coords
+def test_projection_table_matches_comb_rewriting():
+    for symmetry in (REGULAR, COMMUTATIVE, ANTICOMMUTATIVE):
+        assert len(PROJECTION[symmetry]) == 12
+        for m in MONOMIALS:
+            x = Weight3Element.monomial(m.shape, m.labels)
+            want = reference_project(x, symmetry).coords
+            p, s = PROJECTION[symmetry][m.index]
+            assert want[p] == s and sum(map(abs, want)) == 1
+            assert project(x, symmetry) == reference_project(x, symmetry)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(st.fractions(max_denominator=9), min_size=12, max_size=12))
+def test_project_matches_comb_rewriting(coords):
+    x = Weight3Element(REGULAR, tuple(coords))
+    for symmetry in (REGULAR, COMMUTATIVE, ANTICOMMUTATIVE):
+        got = project(x, symmetry)
+        assert got == reference_project(x, symmetry)
+        assert all(type(c) is Fraction for c in got.coords)
 
 
 def test_psi_identity():
