@@ -33,11 +33,7 @@ def zero_vector(n: int) -> Vector:
     return (ZERO,) * n
 
 
-def is_zero(v: Vector) -> bool:
-    return all(a == 0 for a in v)
-
-
-def _integers(row: Sequence) -> tuple[list[int], int]:
+def integer_row(row: Sequence) -> tuple[list[int], int]:
     """(numerators, d): the entries of row are numerators[i] / d.
 
     d is the least common denominator.  Entries that are not already an
@@ -53,7 +49,7 @@ def _integers(row: Sequence) -> tuple[list[int], int]:
 def primitive(row: Sequence) -> Optional[tuple[int, ...]]:
     """The integer row with gcd 1 and a positive leading entry that spans
     the same line as row, or None for a zero row."""
-    ints, _ = _integers(row)
+    ints, _ = integer_row(row)
     g = gcd(*ints)
     if not g:
         return None
@@ -85,7 +81,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
     for row in rows:
         if len(row) != ncols:
             raise ValueError("dimension mismatch among input vectors")
-        ints, _ = _integers(row)
+        ints, _ = integer_row(row)
         if any(ints):
             m.append(ints)
     pivots = []
@@ -172,7 +168,7 @@ class Subspace:
                 f"dimension mismatch: vector has length {len(v)}, "
                 f"ambient is {self.ambient_dim}"
             )
-        w, d = _integers(v)
+        w, d = integer_row(v)
         pivots, c, columns = self._integer_form
         at_pivots = [w[p] for p in pivots]
         return c * d, [(j, c * w[j] - sum(map(mul, at_pivots, column)))
@@ -191,6 +187,18 @@ class Subspace:
                       for b in self.basis))
             for j in self.complement_columns()
         )
+
+    @cached_property
+    def unit_residues(self) -> tuple[int, tuple]:
+        """(c, rows), once per subspace: reduce(e_k) is a / c at j for each
+        (j, a) in rows[k].  A non-pivot unit is its own residue; the unit at
+        the pivot of basis row i reduces to minus the rest of that row."""
+        pivots, c, columns = self._integer_form
+        rows = [((k, c),) for k in range(self.ambient_dim)]
+        for i, p in enumerate(pivots):
+            rows[p] = tuple((j, -column[i]) for j, column in columns
+                            if column[i])
+        return c, tuple(rows)
 
     def pivot_columns(self) -> tuple[int, ...]:
         return self._pivots

@@ -358,11 +358,6 @@ def rank_search(r: RelationModule, seed: int = 0, trials: int = 200) -> int:
 # Preset catalog.
 
 
-def _x_vector() -> Weight3Element:
-    # x1*(x2*x3) - (x1*x2)*x3, the base vector for the subgroup families
-    return -associator((1, 2, 3))
-
-
 def _gi_ass(i: int) -> QuadraticOperad:
     vi = subgroup_alternating(i)
     gen = presented_relation(vi, vi, REGULAR)

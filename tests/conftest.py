@@ -1,14 +1,19 @@
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from hypothesis import strategies as st
 
 from operad_forge.group_module import PERMS, GroupVector
+from operad_forge.tensor_closure import PAIR_KEYS, SWAP, apply_node_swaps
 from operad_forge.weight_spaces import (
+    ACTION_TABLE,
     ANTICOMMUTATIVE,
     COMB_PAIRS,
     COMMUTATIVE,
     LEFT,
     MONOMIALS,
+    PROJECTION,
     REGULAR,
     Weight3Element,
 )
@@ -66,3 +71,70 @@ def reference_project(x, target):
         else:
             coords[idx] += c
     return Weight3Element(target, tuple(coords))
+
+
+# --- the closure path before the bilinear normal form -----------------------
+
+
+@dataclass(frozen=True)
+class TensorElement3:
+    """An element of (weight-3 space of A) (x) (weight-3 space of B)."""
+
+    sym_a: object
+    sym_b: object
+    coords: tuple  # matrix, rows indexed by A-side monomials
+
+
+@cache
+def reference_expand(relation, product, sym_a=REGULAR, sym_b=REGULAR):
+    """The expansion of a regular template as a dense matrix: each swapped
+    pair of monomials lands on its signed coordinates through PROJECTION.
+    Cached: a TensorElement3 is immutable, and the differential tests
+    reduce one expansion against many modules."""
+    if relation.symmetry is not REGULAR:
+        raise ValueError("expansion templates live in the regular class")
+    proj_a, proj_b = PROJECTION[sym_a], PROJECTION[sym_b]
+    # (A root swap, A inner swap, B root swap, B inner swap, coefficient)
+    swaps = [(s_r == SWAP, s_i == SWAP, t_r == SWAP, t_i == SWAP, a_r * a_i)
+             for (s_r, t_r), a_r in zip(PAIR_KEYS, product.coeffs) if a_r
+             for (s_i, t_i), a_i in zip(PAIR_KEYS, product.coeffs) if a_i]
+    out = [[Fraction(0)] * sym_b.dim for _ in range(sym_a.dim)]
+    for m in MONOMIALS:
+        c = relation.coords[m.index]
+        if c == 0:
+            continue
+        for root_a, inner_a, root_b, inner_b, a in swaps:
+            ia, sa = proj_a[apply_node_swaps(m, root_a, inner_a).index]
+            ib, sb = proj_b[apply_node_swaps(m, root_b, inner_b).index]
+            out[ia][ib] += c * a if sa == sb else -c * a
+    return TensorElement3(sym_a, sym_b, tuple(tuple(row) for row in out))
+
+
+def reference_act_tensor(sigma, t):
+    """The diagonal (sigma, sigma) action on both tensor factors."""
+    table_b = ACTION_TABLE[t.sym_b, sigma]
+    return TensorElement3(t.sym_a, t.sym_b, tuple(
+        tuple(sa * sb * t.coords[ia][ib] for ib, sb in table_b)
+        for ia, sa in ACTION_TABLE[t.sym_a, sigma]
+    ))
+
+
+def reference_membership(t, r_a, r_b):
+    """Residuals of t modulo R_A (x) Gamma_B + Gamma_A (x) R_B: each B-side
+    column reduced modulo R_A, then each surviving coset row modulo R_B."""
+    if r_a.symmetry is not t.sym_a or r_b.symmetry is not t.sym_b:
+        raise ValueError("relation modules do not match the expansion classes")
+    columns = [r_a.space.reduce(column) for column in zip(*t.coords)]
+    residuals = []
+    for i in r_a.space.complement_columns():
+        res = r_b.space.reduce(tuple(column[i] for column in columns))
+        if any(res):
+            residuals.append((i, res))
+    return tuple(residuals)
+
+
+def reference_closure(r_a, r_b, product, targets):
+    """The residual tuple of each target, by expansion and then membership."""
+    return [reference_membership(
+        reference_expand(tgt, product, r_a.symmetry, r_b.symmetry), r_a, r_b)
+        for tgt in targets]

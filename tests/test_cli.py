@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from operad_forge import cli, tensor_closure
 from operad_forge.algebra_instances import example
 from operad_forge.cli import run
-from operad_forge.operad_calculus import PRESET_NAMES
+from operad_forge.operad_calculus import PRESET_NAMES, regular_presets, tilde
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -204,6 +205,29 @@ def test_verify_matches_golden(capsys, argv, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+def test_companion_matches_golden(capsys):
+    outs = []
+    for name in regular_presets():
+        code, out, _ = _run(capsys, "companion", name)
+        assert code == 0, name
+        outs.append(out)
+    assert "".join(outs) == (GOLDEN / "companion_regular.txt").read_text()
+
+
+def test_verify_theorem1_builds_each_tilde_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(p, seed=0):
+        calls.append(p.name)
+        return tilde(p, seed=seed)
+
+    monkeypatch.setattr(cli, "tilde", counted)
+    monkeypatch.setattr(tensor_closure, "tilde", counted)
+    code, out, _ = _run(capsys, "verify", "theorem1", "--preset", "ass")
+    assert code == 0 and "verified: true" in out
+    assert len(calls) == 1
+
+
 def test_companion(capsys):
     code, out, _ = _run(capsys, "companion", "poiss")
     assert code == 0
@@ -380,9 +404,17 @@ def test_family_preset_without_parameters_exits_2(capsys, argv):
 
 
 def test_usage_error_exits_2(capsys):
-    assert run(["frobnicate"]) == 2
-    assert run(["verify", "nosuchcheck"]) == 2
-    capsys.readouterr()
+    for argv in (["frobnicate"], ["verify", "nosuchcheck"],
+                 ["show", "ass", "a\nb"], []):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1, err
+
+
+def test_help_keeps_its_usage_text(capsys):
+    assert run(["verify", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: operad-forge verify")
 
 
 # --- fuzzing the file inputs --------------------------------------------------
@@ -524,4 +556,5 @@ def test_fuzzed_argv_keeps_the_exit_contract(fuzz_dir, argv):
     if code == 1:
         assert "verified: false" in out
     if code == 2:
-        assert out == "" and "error: " in err
+        assert out == "" and err.startswith("error: ")
+        assert err.endswith("\n") and err.count("\n") == 1

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from operad_forge.foundation import combine, span
 from operad_forge.group_module import ID, PERMS
-from operad_forge.operad_calculus import QuadraticOperad, dual, orbit_span
+from operad_forge.operad_calculus import QuadraticOperad, dual, orbit_span, preset
 from operad_forge.relation_dsl import (
     format_group_vector,
     format_weight3,
@@ -19,13 +19,7 @@ from operad_forge.relation_dsl import (
     parse_group_vector,
     parse_relation,
 )
-from operad_forge.tensor_closure import (
-    E2,
-    SWAP,
-    MixedProduct,
-    act_tensor,
-    expand,
-)
+from operad_forge.tensor_closure import E2, SWAP, MixedProduct, leaks
 from operad_forge.weight_spaces import (
     ANTICOMMUTATIVE,
     COMMUTATIVE,
@@ -37,7 +31,15 @@ from operad_forge.weight_spaces import (
     psi,
 )
 
-from conftest import any_symmetry, group_vectors, perms, rationals, weight_elements
+from conftest import (
+    any_symmetry,
+    group_vectors,
+    perms,
+    rationals,
+    reference_act_tensor,
+    reference_expand,
+    weight_elements,
+)
 
 COMMON = settings(max_examples=200, derandomize=True, deadline=None)
 
@@ -173,9 +175,9 @@ def mixed_products():
 @given(weight_elements(REGULAR), weight_elements(REGULAR), rationals(),
        mixed_products())
 def test_expand_is_linear(x, y, c, product):
-    lhs = expand(x + y.scaled(c), product)
-    rhs = expand(x, product)
-    tail = expand(y, product)
+    lhs = reference_expand(x + y.scaled(c), product)
+    rhs = reference_expand(x, product)
+    tail = reference_expand(y, product)
     for i in range(12):
         for j in range(12):
             assert lhs.coords[i][j] == rhs.coords[i][j] + c * tail.coords[i][j]
@@ -184,4 +186,26 @@ def test_expand_is_linear(x, y, c, product):
 @COMMON
 @given(perms(), weight_elements(REGULAR), mixed_products())
 def test_expand_intertwines_diagonal_action(sigma, x, product):
-    assert expand(act(sigma, x), product) == act_tensor(sigma, expand(x, product))
+    assert reference_expand(act(sigma, x), product) == \
+        reference_act_tensor(sigma, reference_expand(x, product))
+
+
+def _dense_leaks(x, product, r_a, r_b):
+    out = [[Fraction(0)] * r_b.symmetry.dim for _ in range(r_a.symmetry.dim)]
+    for i, row in leaks(x, product, r_a, r_b):
+        out[i] = list(row)
+    return out
+
+
+@COMMON
+@given(weight_elements(REGULAR), weight_elements(REGULAR), rationals(),
+       mixed_products(), st.sampled_from([("leib", "zinb"), ("ass", "poiss"),
+                                          ("com", "lie"), ("lie", "com")]))
+def test_leaks_are_linear(x, y, c, product, names):
+    r_a, r_b = (preset(name).relations for name in names)
+    lhs = _dense_leaks(x + y.scaled(c), product, r_a, r_b)
+    rhs = _dense_leaks(x, product, r_a, r_b)
+    tail = _dense_leaks(y, product, r_a, r_b)
+    for i, row in enumerate(lhs):
+        for j, entry in enumerate(row):
+            assert entry == rhs[i][j] + c * tail[i][j]

@@ -4,7 +4,7 @@ from functools import cache, partial
 
 import pytest
 
-from operad_forge.foundation import combine, full_space, span
+from operad_forge.foundation import combine, full_space, kernel, span
 from operad_forge.group_module import PERMS, apply_idempotent
 from operad_forge.operad_calculus import (
     QuadraticOperad,
@@ -24,16 +24,15 @@ from operad_forge.tensor_closure import (
     PAIR_KEYS,
     MixedProduct,
     SWAP,
-    TensorElement3,
-    act_tensor,
     apply_node_swaps,
     bracket_antisymmetric,
     bracket_is_lie,
     closure_holds,
-    expand,
     jacobiator_template,
-    membership,
+    leaks,
+    lift_closure,
     minimal_companion,
+    placements,
     theorem1_check,
     twisted_poisson_check,
 )
@@ -53,7 +52,14 @@ from operad_forge.weight_spaces import (
     psi,
 )
 
-from conftest import reference_project
+from conftest import (
+    TensorElement3,
+    reference_act_tensor,
+    reference_closure,
+    reference_expand,
+    reference_membership,
+    reference_project,
+)
 
 
 def test_apply_node_swaps():
@@ -76,9 +82,22 @@ def test_node_swaps_are_involutive():
                 assert twice == m
 
 
+def _placed(relation, product, sym_a=REGULAR, sym_b=REGULAR):
+    """The dense expansion matrix that the placement table describes."""
+    den, cells = placements(product, sym_a, sym_b)
+    out = [[Fraction(0)] * sym_b.dim for _ in range(sym_a.dim)]
+    for c, cells_m in zip(relation.coords, cells):
+        for ia, ib, alpha in cells_m if c else ():
+            out[ia][ib] += c * alpha
+    return TensorElement3(sym_a, sym_b, tuple(
+        tuple(x / den for x in row) for row in out))
+
+
 def test_identity_expansion_is_diagonal():
+    assert placements(MixedProduct.identity(), REGULAR, REGULAR) == (
+        1, tuple(((n, n, 1),) for n in range(12)))
     x = associator((1, 2, 3)).scaled(2)
-    t = expand(x, MixedProduct.identity())
+    t = _placed(x, MixedProduct.identity())
     for m in MONOMIALS:
         for n in MONOMIALS:
             want = x.coords[m.index] if m == n else 0
@@ -87,26 +106,34 @@ def test_identity_expansion_is_diagonal():
 
 def test_bracket_expansion_term_count():
     # one monomial template expands into 4 signed monomial pairs per factor
-    x = Weight3Element.monomial(LEFT, (1, 2, 3))
-    t = expand(x, MixedProduct.bracket())
-    assert sum(1 for row in t.coords for c in row if c != 0) == 4
+    den, cells = placements(MixedProduct.bracket(), REGULAR, REGULAR)
+    assert den == 1
+    assert all(len(cells_m) == 4 for cells_m in cells)
+    assert all(abs(alpha) == 1 for cells_m in cells for *_, alpha in cells_m)
 
 
 def test_expand_rejects_symmetric_template():
     from operad_forge.weight_spaces import comb_in
 
+    free = zero_module(REGULAR)
     with pytest.raises(ValueError):
-        expand(comb_in(COMMUTATIVE, 1), MixedProduct.identity())
+        leaks(comb_in(COMMUTATIVE, 1), MixedProduct.identity(), free, free)
+    with pytest.raises(ValueError):
+        reference_expand(comb_in(COMMUTATIVE, 1), MixedProduct.identity())
 
 
 def test_expand_equivariance_identity_product():
+    # R_A (x) Gamma + Gamma (x) R_B is invariant under the diagonal action,
+    # so a target and its translates leak together.
     x = parse_relation("(x*y)*z - 2*x*(z*y)")
-    t = expand(x, MixedProduct.identity())
-    from operad_forge.weight_spaces import act
-
+    t = reference_expand(x, MixedProduct.identity())
+    r_a, r_b = preset("leib").relations, preset("zinb").relations
+    verdict = bool(leaks(x, MixedProduct.identity(), r_a, r_b))
     for sigma in PERMS:
-        assert expand(act(sigma, x), MixedProduct.identity()) == \
-            act_tensor(sigma, t)
+        y = act(sigma, x)
+        assert reference_expand(y, MixedProduct.identity()) == \
+            reference_act_tensor(sigma, t)
+        assert bool(leaks(y, MixedProduct.identity(), r_a, r_b)) == verdict
 
 
 def test_mixed_product_precompose_swap():
@@ -123,14 +150,18 @@ def test_mixed_product_precompose_swap():
 
 def test_membership_full_ambient_always_absorbs():
     x = parse_relation("(x*y)*z + 3*x*(y*z)")
-    t = expand(x, MixedProduct.identity())
-    assert membership(t, zero_module(REGULAR), full_module(REGULAR)) == ()
+    for product in (MixedProduct.identity(), MixedProduct.bracket()):
+        assert leaks(x, product, zero_module(REGULAR),
+                     full_module(REGULAR)) == ()
+        assert leaks(x, product, full_module(REGULAR),
+                     zero_module(REGULAR)) == ()
 
 
 def test_membership_zero_modules_reject_nonzero():
     x = associator((1, 2, 3))
-    t = expand(x, MixedProduct.identity())
-    residuals = membership(t, zero_module(REGULAR), zero_module(REGULAR))
+    t = reference_expand(x, MixedProduct.identity())
+    residuals = leaks(x, MixedProduct.identity(), zero_module(REGULAR),
+                      zero_module(REGULAR))
     # the associator's two monomials survive, each paired with itself
     assert residuals == tuple(
         (m.index, t.coords[m.index])
@@ -189,7 +220,7 @@ def _reference_minimal_companion(p):
     r = p.relations
     collected = []
     for tgt in r.basis_elements():
-        t = expand(tgt, MixedProduct.identity())
+        t = reference_expand(tgt, MixedProduct.identity())
         mat = [list(row) for row in t.coords]
         for row_basis in r.space.basis:
             pcol = next(i for i, e in enumerate(row_basis) if e != 0)
@@ -229,8 +260,10 @@ def _reference_membership(t, r_a, r_b):
     return tuple(residuals)
 
 
-def _assert_membership_matches_reference(t, r_a, r_b):
-    got = membership(t, r_a, r_b)
+def _assert_membership_matches_reference(tgt, product, r_a, r_b):
+    t = reference_expand(tgt, product, r_a.symmetry, r_b.symmetry)
+    got = leaks(tgt, product, r_a, r_b)
+    assert got == reference_membership(t, r_a, r_b)
     assert got == _reference_membership(t, r_a, r_b)
     assert all(type(c) is Fraction for _, res in got for c in res)
     return got
@@ -246,9 +279,8 @@ def test_membership_matches_reference_on_regular_presets():
         for q in (p, dual(p), preset(names[(k + 1) % len(names)])):
             for product in products:
                 for tgt in p.relations.basis_elements():
-                    t = expand(tgt, product)
                     leaking += bool(_assert_membership_matches_reference(
-                        t, p.relations, q.relations))
+                        tgt, product, p.relations, q.relations))
     assert leaking > 100
 
 
@@ -270,10 +302,10 @@ def test_membership_matches_reference_on_symmetric_classes():
         for sym_a, sym_b in ((COMMUTATIVE, ANTICOMMUTATIVE),
                              (ANTICOMMUTATIVE, ANTICOMMUTATIVE),
                              (REGULAR, COMMUTATIVE)):
-            t = expand(tgt, product, sym_a, sym_b)
             for r_a in modules[sym_a]:
                 for r_b in modules[sym_b]:
-                    _assert_membership_matches_reference(t, r_a, r_b)
+                    _assert_membership_matches_reference(
+                        tgt, product, r_a, r_b)
 
 
 def test_minimal_companion_rejects_symmetric():
@@ -313,18 +345,6 @@ def test_twisted_poisson_literal_signs_fail():
         poiss.relations.basis_elements(),
     )
     assert not ok
-
-
-def test_tensor_element_helpers():
-    x = associator((1, 2, 3))
-    t = expand(x, MixedProduct.identity())
-    assert not t.is_zero()
-    assert t.dim_a == 12 and t.dim_b == 12
-    zero = TensorElement3(
-        REGULAR, REGULAR,
-        tuple((Fraction(0),) * 12 for _ in range(12)),
-    )
-    assert zero.is_zero()
 
 
 @cache
@@ -399,9 +419,11 @@ def test_expand_matches_projection_matrix_reference():
         for sym_a in CLASSES:
             rows = _reference_project_rows(regular, sym_a)
             for sym_b in CLASSES:
-                got = expand(tgt, product, sym_a, sym_b)
-                assert got == TensorElement3(
+                want = TensorElement3(
                     sym_a, sym_b, _reference_project_columns(rows, sym_b))
+                assert reference_expand(tgt, product, sym_a, sym_b) == want
+                got = _placed(tgt, product, sym_a, sym_b)
+                assert got == want
                 assert all(type(c) is Fraction
                            for row in got.coords for c in row)
 
@@ -468,3 +490,88 @@ def test_theorem1_symmetric_targets_are_lifts():
         assert ok
         assert [c.target for c in certs] == [
             lift(x) for x in p.relations.basis_elements()]
+
+
+NAMED_PRODUCTS = (MixedProduct.identity(), MixedProduct.bracket(),
+                  MixedProduct.poisson_twist(),
+                  MixedProduct.poisson_twist_literal())
+
+
+@cache
+def _closure_modules():
+    """Relations, duals and tildes of the theorem-1 presets, and Rel(A) of
+    the catalog instances, each module once."""
+    from operad_forge.algebra_instances import (
+        algebra_relations, example, example_names)
+
+    modules = []
+    for name in regular_presets() + ["lie", "com"]:
+        p = preset(name)
+        modules += [p.relations, dual(p).relations, tilde(p).relations]
+    modules += [algebra_relations(example(n)) for n in example_names()]
+    return list(dict.fromkeys(modules))
+
+
+def _fitting_pairs():
+    # A symmetric left factor is checked through lifts, against comm only.
+    modules = _closure_modules()
+    return [(r_a, r_b) for r_a in modules for r_b in modules
+            if r_a.symmetry is REGULAR or r_b.symmetry is COMMUTATIVE]
+
+
+def test_leaks_match_reference_closure_on_every_module_pair():
+    pairs = _fitting_pairs()
+    assert len(pairs) > 1000
+    leaking = 0
+    for r_a, r_b in pairs:
+        targets = [lift(x) for x in r_a.basis_elements()]
+        for product in NAMED_PRODUCTS:
+            ok, certs = closure_holds(r_a, r_b, product, targets)
+            got = [c.residuals for c in certs]
+            assert got == reference_closure(r_a, r_b, product, targets)
+            assert all(type(c) is Fraction
+                       for res in got for _, row in res for c in row)
+            assert ok == (not any(got))
+            leaking += sum(map(bool, got))
+    assert leaking > 10000
+
+
+def _white_product(r_a, r_b, product):
+    """W: the kernel of the residuals of the 12 unit monomials, flattened."""
+    dim_b = r_b.symmetry.dim
+    rows = []
+    for m in MONOMIALS:
+        flat = [Fraction(0)] * (12 * dim_b)
+        for i, row in leaks(Weight3Element.monomial(m.shape, m.labels),
+                            product, r_a, r_b):
+            flat[i * dim_b:(i + 1) * dim_b] = row
+        rows.append(flat)
+    return kernel(span(zip(*rows), 12))
+
+
+def test_closure_holds_exactly_on_the_white_product():
+    rng = random.Random(10)
+    pairs = _fitting_pairs()
+    verdicts = set()
+    for r_a, r_b in rng.sample(pairs, 60):
+        for product in NAMED_PRODUCTS:
+            w = _white_product(r_a, r_b, product)
+            targets = [lift(x) for x in r_a.basis_elements()]
+            targets.append(Weight3Element(REGULAR, tuple(
+                Fraction(rng.randint(-2, 2)) for _ in range(12))))
+            targets.append(Weight3Element(REGULAR, tuple(
+                sum(rng.randint(-2, 2) * b[k] for b in w.basis)
+                for k in range(12))))
+            for tgt in targets:
+                ok, _ = closure_holds(r_a, r_b, product, [tgt])
+                assert ok == w.contains(tgt.coords)
+                verdicts.add(ok)
+            ok, _ = closure_holds(r_a, r_b, product, targets[:-2])
+            assert ok == all(w.contains(t.coords) for t in targets[:-2])
+    assert verdicts == {True, False}
+
+
+def test_theorem1_is_lift_closure_against_tilde():
+    for name in ("ass", "leib", "lie", "com"):
+        p = preset(name)
+        assert theorem1_check(p) == lift_closure(p, tilde(p).relations)
