@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from operad_forge import cli, tensor_closure
-from operad_forge.algebra_instances import example
+from operad_forge.algebra_instances import example, example_names
 from operad_forge.cli import run
 from operad_forge.operad_calculus import PRESET_NAMES, regular_presets, tilde
 
@@ -212,6 +212,37 @@ def test_companion_matches_golden(capsys):
         assert code == 0, name
         outs.append(out)
     assert "".join(outs) == (GOLDEN / "companion_regular.txt").read_text()
+
+
+# Fixture pairs whose tensor products have nonzero structure constants.
+_GOLDEN_TENSORS = [
+    ("comm_assoc_2d", "comm_assoc_2d"),
+    ("leibniz_3d", "leib_tilde_3d"),
+    ("poisson_heisenberg", "comm_assoc_2d", "--twist", "poisson"),
+]
+
+
+def test_instance_commands_match_golden(capsys):
+    """`instance check` on every catalog fixture against ass, leib, poiss
+    and com, then `instance tensor` on three pairs, read from the committed
+    instance files."""
+    outs = []
+    for name in example_names():
+        path = GOLDEN / "instances" / f"{name}.json"
+        assert json.loads(path.read_text()) == example(name).to_json(), name
+        for op in ("ass", "leib", "poiss", "com"):
+            code, out, err = _run(capsys, "instance", "check", str(path),
+                                  "--operad", op)
+            assert (code, err) == (
+                0 if out.endswith("verified: true\n") else 1, ""), (name, op)
+            outs.append(out)
+    for a, b, *twist in _GOLDEN_TENSORS:
+        code, out, _ = _run(capsys, "instance", "tensor",
+                            str(GOLDEN / "instances" / f"{a}.json"),
+                            str(GOLDEN / "instances" / f"{b}.json"), *twist)
+        assert code == 0, (a, b)
+        outs.append(out)
+    assert "".join(outs) == (GOLDEN / "instance_check.txt").read_text()
 
 
 def test_verify_theorem1_builds_each_tilde_once(capsys, monkeypatch):
