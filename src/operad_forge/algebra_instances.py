@@ -1,12 +1,14 @@
 """Concrete finite-dimensional algebras given by structure constants.
 
-Instances corroborate the symbolic layer.  Each algebra A has a relation
-module Rel(A), the regular relations that vanish on every basis triple, so
-A satisfies P exactly when R_P lies in Rel(A); the counterexample search
-decides tensor products from these modules alone.  Relation checking, which
-evaluates every basis relation on every ordered basis triple, and tensor
-instances assembled from a mixed product's coefficients remain as the
-direct route that recovers a witness triple.
+Instances corroborate the symbolic layer.  Every question about an instance
+reads one table: the value of each of the 12 regular monomials on each
+ordered basis triple, multiplied out sparsely from the nonzero structure
+constants.  Rel(A), the regular relations that vanish on every basis
+triple, is the kernel of that table, so A satisfies P exactly when R_P lies
+in Rel(A); the counterexample search decides tensor products from these
+modules alone.  Relation checking sums each relation over the same table to
+name a failing triple.  Tensor instances are built from the nonzero
+constants of both factors.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .weight_spaces import (
     MONOMIALS,
     REGULAR,
     RIGHT,
-    Monomial3,
     Weight3Element,
     lift,
 )
@@ -109,24 +110,6 @@ class AlgebraInstance:
                     if v != 0:
                         yield (i + 1, j + 1, k + 1, v)
 
-    def product(self, u: Vector, v: Vector) -> Vector:
-        out = [Fraction(0)] * self.dim
-        for i in range(self.dim):
-            if u[i] == 0:
-                continue
-            for j in range(self.dim):
-                if v[j] == 0:
-                    continue
-                c = self.structure[i][j]
-                f = u[i] * v[j]
-                for k in range(self.dim):
-                    if c[k] != 0:
-                        out[k] += f * c[k]
-        return tuple(out)
-
-    def basis_vector(self, i: int) -> Vector:
-        return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
-
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
@@ -158,15 +141,6 @@ class Violation:
     def __str__(self):
         a, b, c = self.triple
         return f"relation fails on (e{a}, e{b}, e{c}): residue {self.value}"
-
-
-def _eval_monomial(alg: AlgebraInstance, m: Monomial3,
-                   triple: Sequence[Vector]) -> Vector:
-    i, j, k = m.labels
-    xi, xj, xk = triple[i - 1], triple[j - 1], triple[k - 1]
-    if m.shape == LEFT:
-        return alg.product(alg.product(xi, xj), xk)
-    return alg.product(xi, alg.product(xj, xk))
 
 
 def commutativity_violations(alg: AlgebraInstance,
@@ -201,35 +175,13 @@ def check_relations(alg: AlgebraInstance,
     return list(_violations(alg, relations))
 
 
-def _violations(alg: AlgebraInstance,
-                relations: Sequence[Weight3Element]) -> Iterator[Violation]:
-    """Regular relations failing on basis triples, relation by relation."""
-    basis = [alg.basis_vector(i) for i in range(alg.dim)]
-    for x in relations:
-        support = [m for m in MONOMIALS if x.coords[m.index] != 0]
-        for triple_idx in itertools.product(range(alg.dim), repeat=3):
-            triple = [basis[t] for t in triple_idx]
-            total = [Fraction(0)] * alg.dim
-            for m in support:
-                val = _eval_monomial(alg, m, triple)
-                c = x.coords[m.index]
-                for k in range(alg.dim):
-                    if val[k] != 0:
-                        total[k] += c * val[k]
-            if any(v != 0 for v in total):
-                yield Violation(x, tuple(t + 1 for t in triple_idx),
-                                tuple(total))
+def _monomial_values(alg: AlgebraInstance) -> dict:
+    """The value of every regular monomial on every ordered basis triple.
 
-
-def algebra_relations(alg: AlgebraInstance) -> RelationModule:
-    """Rel(A): the regular relations that vanish on every basis triple.
-
-    Rel(A) is the left kernel of the 12 x n^4 evaluation matrix, whose
-    column (a, b, c, k) holds coordinate k of each monomial evaluated on
-    (e_a, e_b, e_c).  All-zero and repeated columns leave that kernel
-    unchanged, so they are dropped before the one elimination.  The set of
-    basis triples is closed under permutation, so Rel(A) is
-    Sigma_3-invariant.
+    table[(a, b, c)][n] is MONOMIALS[n] evaluated on (e_a, e_b, e_c), as a
+    sparse {k: coefficient} dict; triples are 0-based and in
+    itertools.product order.  Each triple's (e_a e_b) e_c and e_a (e_b e_c)
+    is multiplied out once, from the nonzero structure constants.
     """
     n = alg.dim
     # Sparse basis products: e_i e_j as {k: coefficient}.
@@ -250,10 +202,38 @@ def algebra_relations(alg: AlgebraInstance) -> RelationModule:
         LEFT: {t: times(prod[t[0]][t[1]], unit[t[2]]) for t in triples},
         RIGHT: {t: times(unit[t[0]], prod[t[1]][t[2]]) for t in triples},
     }
+    return {abc: [values[m.shape][tuple(abc[l - 1] for l in m.labels)]
+                  for m in MONOMIALS]
+            for abc in triples}
+
+
+def _violations(alg: AlgebraInstance,
+                relations: Sequence[Weight3Element]) -> Iterator[Violation]:
+    """Regular relations failing on basis triples, relation by relation."""
+    table = _monomial_values(alg)
+    for x in relations:
+        support = [(n, c) for n, c in enumerate(x.coords) if c]
+        for abc, evals in table.items():
+            total = [Fraction(0)] * alg.dim
+            for n, c in support:
+                for k, v in evals[n].items():
+                    total[k] += c * v
+            if any(total):
+                yield Violation(x, tuple(t + 1 for t in abc), tuple(total))
+
+
+def algebra_relations(alg: AlgebraInstance) -> RelationModule:
+    """Rel(A): the regular relations that vanish on every basis triple.
+
+    Rel(A) is the left kernel of the 12 x n^4 evaluation matrix, whose
+    column (a, b, c, k) holds coordinate k of each monomial evaluated on
+    (e_a, e_b, e_c).  All-zero and repeated columns leave that kernel
+    unchanged, so they are dropped before the one elimination.  The set of
+    basis triples is closed under permutation, so Rel(A) is
+    Sigma_3-invariant.
+    """
     columns = set()
-    for abc in triples:
-        evals = [values[m.shape][tuple(abc[l - 1] for l in m.labels)]
-                 for m in MONOMIALS]
+    for evals in _monomial_values(alg).values():
         for k in set().union(*evals):
             columns.add(tuple(e.get(k, 0) for e in evals))
     columns.discard((0,) * 12)
@@ -281,31 +261,29 @@ def _satisfied(alg: AlgebraInstance, rel: RelationModule,
 def tensor_instance(a: AlgebraInstance, b: AlgebraInstance,
                     product: MixedProduct,
                     name=None) -> AlgebraInstance:
-    """Structure constants of A (x) B under a mixed product."""
+    """Structure constants of A (x) B under a mixed product, summed over
+    the nonzero constants of both factors."""
     n = a.dim * b.dim
     if n > MAX_DIM:
         raise ValueError(
             f"tensor product dimension {a.dim}*{b.dim} = {n} exceeds {MAX_DIM}")
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i, p in itertools.product(range(a.dim), range(b.dim)):
-        for j, q in itertools.product(range(a.dim), range(b.dim)):
-            row = i * b.dim + p
-            col = j * b.dim + q
-            for s, t in PAIR_KEYS:
-                alpha = product[(s, t)]
-                if alpha == 0:
-                    continue
-                ii, jj = (j, i) if s == SWAP else (i, j)
-                pp, qq = (q, p) if t == SWAP else (p, q)
-                ca = a.structure[ii][jj]
-                cb = b.structure[pp][qq]
-                for k in range(a.dim):
-                    if ca[k] == 0:
-                        continue
-                    for r in range(b.dim):
-                        if cb[r] == 0:
-                            continue
-                        c[row][col][k * b.dim + r] += alpha * ca[k] * cb[r]
+    entries_b = list(b.entries())
+
+    def cell(i: int, p: int) -> int:  # 0-based index of e_i (x) e_p
+        return (i - 1) * b.dim + p - 1
+
+    for (s, t), alpha in zip(PAIR_KEYS, product.coeffs):
+        if alpha == 0:
+            continue
+        # A swap on a side reads that side's constant at the reversed pair.
+        for i, j, k, x in a.entries():
+            if s == SWAP:
+                i, j = j, i
+            for p, q, r, y in entries_b:
+                if t == SWAP:
+                    p, q = q, p
+                c[cell(i, p)][cell(j, q)][cell(k, r)] += alpha * x * y
     return AlgebraInstance(
         n, tuple(tuple(tuple(v) for v in row) for row in c), name
     )
@@ -365,10 +343,6 @@ def example(name: str) -> AlgebraInstance:
     if name not in _CATALOG:
         raise ValueError(f"unknown example name: {name!r}")
     return _CATALOG[name]
-
-
-def example_names() -> list[str]:
-    return sorted(_CATALOG)
 
 
 # ---------------------------------------------------------------------------

@@ -418,13 +418,6 @@ _FAMILY_SWEEP = (
 )
 
 
-def _subgroup_variant_match(p: QuadraticOperad) -> Optional[str]:
-    for i in range(1, 7):
-        if p.relations.space == preset(f"g{i}ass").relations.space:
-            return f"g{i}ass"
-    return None
-
-
 def _family_sweep_section(seed: int) -> Section:
     s = Section(
         "lie-admissible family sweep",
@@ -432,17 +425,19 @@ def _family_sweep_section(seed: int) -> Section:
          "tilde = dual(lieadm)"],
     )
     comm3 = preset("comm3").relations.space
-    entries = [(f"g{i}ass", (f"g{i}ass",)) for i in range(1, 7)]
-    entries += list(_FAMILY_SWEEP)
-    for label, spec_args in entries:
-        p = preset(*spec_args)
+    entries = [(f"g{i}ass", preset(f"g{i}ass")) for i in range(1, 7)]
+    # Filled from g6 down, so the first variant with a given module wins.
+    variant = {p.relations.space: label for label, p in reversed(entries)}
+    entries += [(label, preset(*spec_args))
+                for label, spec_args in _FAMILY_SWEEP]
+    for label, p in entries:
         t = tilde(p, seed=seed)
         d = dual(p)
         s.rows.append(
             [
                 label,
                 str(p.relations.dim),
-                _subgroup_variant_match(p) or "-",
+                variant.get(p.relations.space, "-"),
                 str(t.relations.space == d.relations.space).lower(),
                 str(t.relations.space == comm3).lower(),
             ]
@@ -450,10 +445,11 @@ def _family_sweep_section(seed: int) -> Section:
     return s
 
 
-def _known_symmetric_label(p: QuadraticOperad) -> str:
-    for name in ("lie", "com"):
-        if operads_equal(p, preset(name)):
-            return name
+def _known_symmetric_label(p: QuadraticOperad,
+                           known: list[QuadraticOperad]) -> str:
+    for q in known:
+        if operads_equal(p, q):
+            return q.name
     if p.relations.dim == p.symmetry.dim:
         return "full module"
     if p.relations.dim == 0:
@@ -467,6 +463,7 @@ def _symmetric_enumeration_section(seed: int) -> Section:
         ["class", "pieces", "dim", "known", "tilde dim",
          "dual class", "dual dim", "tilde = dual"],
     )
+    known = [preset("lie"), preset("com")]
     for symmetry in (COMMUTATIVE, ANTICOMMUTATIVE):
         units = full_space(symmetry.dim).basis
         action = partial(act_vector, symmetry)
@@ -495,7 +492,7 @@ def _symmetric_enumeration_section(seed: int) -> Section:
                     symmetry.value,
                     label,
                     str(module.dim),
-                    _known_symmetric_label(p),
+                    _known_symmetric_label(p, known),
                     str(t.relations.dim),
                     d.symmetry.value,
                     str(d.relations.dim),

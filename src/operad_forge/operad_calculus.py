@@ -15,7 +15,6 @@ from .foundation import (
     ZERO,
     Subspace,
     Vector,
-    full_space,
     kernel,
     primitive,
     span,
@@ -29,7 +28,6 @@ from .group_module import (
     IsotypicProfile,
     Perm3,
     T23,
-    check_invariant,
     group_vector,
     isotypic_multiplicities,
     minimal_generator_count,
@@ -56,7 +54,15 @@ from .weight_spaces import (
 
 @dataclass(frozen=True)
 class RelationModule:
-    """A Sigma_3-invariant subspace of a weight-3 space."""
+    """A Sigma_3-invariant subspace of a weight-3 space.
+
+    Invariance is the constructor's contract, not checked here: every
+    module in this package comes from `orbit_span`, from `dual` (whose
+    pairing satisfies <sx, sy> = +-<x, y>), from `algebra_relations`
+    (whose basis triples are closed under permutation) or from the
+    report's isotypic pieces.  `isotypic` checks it, so `rank` refuses a
+    module built by hand that is not invariant.
+    """
 
     symmetry: SymmetryClass
     space: Subspace
@@ -118,10 +124,6 @@ def zero_module(symmetry: SymmetryClass) -> RelationModule:
     return RelationModule(symmetry, span([], symmetry.dim))
 
 
-def full_module(symmetry: SymmetryClass) -> RelationModule:
-    return RelationModule(symmetry, full_space(symmetry.dim))
-
-
 def rank(r: RelationModule) -> int:
     """Minimal number of module generators, from the isotypic profile."""
     if r.dim == 0:
@@ -139,10 +141,6 @@ class QuadraticOperad:
     def __post_init__(self):
         if self.relations.symmetry is not self.symmetry:
             raise ValueError("relation module is in the wrong symmetry class")
-        # Invariance is enforced by construction in orbit_span; re-check here
-        # for operads assembled from raw subspaces.
-        check_invariant(self.relations.space,
-                        partial(act_vector, self.symmetry))
         if self.presentation is not None:
             gens = [presented_relation(v, w, self.symmetry)
                     for v, w in self.presentation]
@@ -150,10 +148,6 @@ class QuadraticOperad:
                 raise ValueError(
                     "presentation does not generate the relation module"
                 )
-
-    def with_name(self, name: str) -> "QuadraticOperad":
-        return QuadraticOperad(self.symmetry, self.relations,
-                               self.presentation, name)
 
 
 def presented_relation(v: GroupVector, w: GroupVector,
@@ -358,18 +352,18 @@ def rank_search(r: RelationModule, seed: int = 0, trials: int = 200) -> int:
 # Preset catalog.
 
 
-def _gi_ass(i: int) -> QuadraticOperad:
+def _gi_ass(i: int, name: Optional[str] = None) -> QuadraticOperad:
     vi = subgroup_alternating(i)
     gen = presented_relation(vi, vi, REGULAR)
     rel = orbit_span([gen], REGULAR)
-    return QuadraticOperad(REGULAR, rel, ((vi, vi),), f"g{i}ass")
+    return QuadraticOperad(REGULAR, rel, ((vi, vi),), name or f"g{i}ass")
 
 
-def _gi_p3ass(i: int) -> QuadraticOperad:
+def _gi_p3ass(i: int, name: Optional[str] = None) -> QuadraticOperad:
     wi = subgroup_symmetric(i)
     gen = presented_relation(wi, wi, REGULAR)
     rel = orbit_span([gen], REGULAR)
-    return QuadraticOperad(REGULAR, rel, ((wi, wi),), f"g{i}p3ass")
+    return QuadraticOperad(REGULAR, rel, ((wi, wi),), name or f"g{i}p3ass")
 
 
 def _comm3() -> QuadraticOperad:
@@ -528,11 +522,11 @@ def preset(name: str, *params) -> QuadraticOperad:
     if params:
         raise ValueError(f"preset {name!r} takes no parameters")
     if name == "ass":
-        return _gi_ass(1).with_name("ass")
+        return _gi_ass(1, "ass")
     if name == "lieadm":
-        return _gi_ass(6).with_name("lieadm")
+        return _gi_ass(6, "lieadm")
     if name == "p3ass":
-        return _gi_p3ass(6).with_name("p3ass")
+        return _gi_p3ass(6, "p3ass")
     if name.startswith("g") and name.endswith("p3ass"):
         i = _subgroup_index(name[1:-5], name)
         return _gi_p3ass(i)

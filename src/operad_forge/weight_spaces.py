@@ -251,12 +251,6 @@ def decompose_LR(x: Weight3Element) -> tuple[GroupVector, GroupVector]:
             GroupVector(tuple(-x.coords[i] for i in PSI_INDEX[RIGHT])))
 
 
-ASSOCIATOR = (
-    Weight3Element.monomial(LEFT, (1, 2, 3))
-    - Weight3Element.monomial(RIGHT, (1, 2, 3))
-)
-
-
 def associator(labels) -> Weight3Element:
     """(x_a*x_b)*x_c - x_a*(x_b*x_c) for an arrangement (a, b, c)."""
     labels = tuple(labels)

@@ -1,10 +1,15 @@
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from hypothesis import strategies as st
 
+from operad_forge import algebra_instances
+from operad_forge.algebra_instances import AlgebraInstance, Violation
+from operad_forge.foundation import full_space
 from operad_forge.group_module import PERMS, GroupVector
+from operad_forge.operad_calculus import RelationModule
 from operad_forge.tensor_closure import PAIR_KEYS, SWAP, apply_node_swaps
 from operad_forge.weight_spaces import (
     ACTION_TABLE,
@@ -15,8 +20,23 @@ from operad_forge.weight_spaces import (
     MONOMIALS,
     PROJECTION,
     REGULAR,
+    RIGHT,
     Weight3Element,
 )
+
+ASSOCIATOR = (
+    Weight3Element.monomial(LEFT, (1, 2, 3))
+    - Weight3Element.monomial(RIGHT, (1, 2, 3))
+)
+
+
+def example_names():
+    """The names of the instance catalog, sorted."""
+    return sorted(algebra_instances._CATALOG)
+
+
+def full_module(symmetry):
+    return RelationModule(symmetry, full_space(symmetry.dim))
 
 
 def rationals(max_num=9, max_den=5):
@@ -138,3 +158,80 @@ def reference_closure(r_a, r_b, product, targets):
     return [reference_membership(
         reference_expand(tgt, product, r_a.symmetry, r_b.symmetry), r_a, r_b)
         for tgt in targets]
+
+
+# --- the dense instance evaluator before the shared monomial table ----------
+
+
+def _dense_product(alg, u, v):
+    """u * v in A, from dense coordinate vectors."""
+    out = [Fraction(0)] * alg.dim
+    for i in range(alg.dim):
+        if u[i] == 0:
+            continue
+        for j in range(alg.dim):
+            if v[j] == 0:
+                continue
+            c = alg.structure[i][j]
+            f = u[i] * v[j]
+            for k in range(alg.dim):
+                if c[k] != 0:
+                    out[k] += f * c[k]
+    return tuple(out)
+
+
+def _dense_monomial(alg, m, triple):
+    i, j, k = m.labels
+    xi, xj, xk = triple[i - 1], triple[j - 1], triple[k - 1]
+    if m.shape == LEFT:
+        return _dense_product(alg, _dense_product(alg, xi, xj), xk)
+    return _dense_product(alg, xi, _dense_product(alg, xj, xk))
+
+
+def reference_violations(alg, relations):
+    """Every regular relation evaluated on every ordered basis triple by
+    dense products, relation by relation, as a list of Violations."""
+    basis = [tuple(Fraction(1 if j == i else 0) for j in range(alg.dim))
+             for i in range(alg.dim)]
+    out = []
+    for x in relations:
+        support = [m for m in MONOMIALS if x.coords[m.index] != 0]
+        for triple_idx in itertools.product(range(alg.dim), repeat=3):
+            triple = [basis[t] for t in triple_idx]
+            total = [Fraction(0)] * alg.dim
+            for m in support:
+                val = _dense_monomial(alg, m, triple)
+                c = x.coords[m.index]
+                for k in range(alg.dim):
+                    if val[k] != 0:
+                        total[k] += c * val[k]
+            if any(v != 0 for v in total):
+                out.append(Violation(x, tuple(t + 1 for t in triple_idx),
+                                     tuple(total)))
+    return out
+
+
+def reference_tensor_instance(a, b, product):
+    """Structure constants of A (x) B over all n^6 index combinations."""
+    n = a.dim * b.dim
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, p in itertools.product(range(a.dim), range(b.dim)):
+        for j, q in itertools.product(range(a.dim), range(b.dim)):
+            row = i * b.dim + p
+            col = j * b.dim + q
+            for s, t in PAIR_KEYS:
+                alpha = product[(s, t)]
+                if alpha == 0:
+                    continue
+                ii, jj = (j, i) if s == SWAP else (i, j)
+                pp, qq = (q, p) if t == SWAP else (p, q)
+                ca = a.structure[ii][jj]
+                cb = b.structure[pp][qq]
+                for k in range(a.dim):
+                    if ca[k] == 0:
+                        continue
+                    for r in range(b.dim):
+                        if cb[r] == 0:
+                            continue
+                        c[row][col][k * b.dim + r] += alpha * ca[k] * cb[r]
+    return AlgebraInstance(n, tuple(tuple(tuple(v) for v in row) for row in c))

@@ -13,29 +13,43 @@ from operad_forge.algebra_instances import (
     check_relations,
     commutativity_violations,
     example,
-    example_names,
     satisfies,
     search_counterexample,
     tensor_instance,
 )
 from operad_forge.foundation import span
 from operad_forge.operad_calculus import (
+    PRESET_NAMES,
     RelationModule,
-    full_module,
+    orbit_span,
     preset,
     tilde,
     zero_module,
 )
 from operad_forge.relation_dsl import parse_relation
 from operad_forge.tensor_closure import PAIR_KEYS, MixedProduct, closure_holds
-from operad_forge.weight_spaces import REGULAR, Weight3Element
+from operad_forge.weight_spaces import (
+    ANTICOMMUTATIVE,
+    COMMUTATIVE,
+    REGULAR,
+    Weight3Element,
+    lift,
+)
+
+from conftest import (
+    example_names,
+    full_module,
+    reference_tensor_instance,
+    reference_violations,
+)
 
 
 def test_instance_construction_and_product():
     alg = AlgebraInstance.from_entries(2, [(1, 1, 2, 1)])
-    e1 = alg.basis_vector(0)
-    assert alg.product(e1, e1) == (Fraction(0), Fraction(1))
-    assert alg.product(e1, alg.basis_vector(1)) == (Fraction(0), Fraction(0))
+    # structure[i][j] is e_{i+1} e_{j+1}: e1 e1 = e2, every other product 0
+    assert alg.structure[0][0] == (Fraction(0), Fraction(1))
+    assert alg.structure[0][1] == (Fraction(0), Fraction(0))
+    assert list(alg.entries()) == [(1, 1, 2, Fraction(1))]
 
 
 def test_instance_shape_validation():
@@ -206,8 +220,8 @@ def test_tensor_instance_identity_product():
     t = tensor_instance(a, b, MixedProduct.identity())
     assert t.dim == 4
     # (e1 (x) b_j) * (e1 (x) b_k) = e1*e1 (x) b_j*b_k = 0 since B is abelian
-    assert all(c == 0 for c in t.product(t.basis_vector(0),
-                                         t.basis_vector(0)))
+    assert all(c == 0 for c in t.structure[0][0])
+    assert list(t.entries()) == []
 
 
 def test_tensor_closed_pair_passes():
@@ -318,6 +332,85 @@ def _reference_search(r_a, r_b, targets, max_dim, seed, budget):
             if bad:
                 return Counterexample(a, b, bad[0])
     return None
+
+
+def _assert_check_matches_reference(alg, r):
+    """check_relations and satisfies agree with dense evaluation of r's
+    basis (its lifts, for a symmetric class) on every basis triple; returns
+    whether A satisfies r."""
+    if r.symmetry is not REGULAR and commutativity_violations(
+            alg, anti=r.symmetry is ANTICOMMUTATIVE):
+        with pytest.raises(ValueError, match="product is not"):
+            check_relations(alg, r)
+        assert not satisfies(alg, r)
+        return False
+    got = check_relations(alg, r)
+    want = reference_violations(alg, [lift(x) for x in r.basis_elements()])
+    assert got == want
+    assert [str(v) for v in got] == [str(v) for v in want]
+    assert all(type(c) is Fraction for v in got for c in v.value)
+    assert satisfies(alg, r) == (not want)
+    return not want
+
+
+def test_check_relations_matches_dense_reference_on_the_catalog():
+    for name in example_names():
+        alg = example(name)
+        for preset_name in PRESET_NAMES:
+            _assert_check_matches_reference(alg, preset(preset_name).relations)
+        assert reference_violations(
+            alg, algebra_relations(alg).basis_elements()) == [], name
+
+
+def _random_instance(rng, dim, symmetry):
+    """Sparse rational structure constants; (anti)commutative when the
+    class asks for it."""
+    sign = {REGULAR: None, COMMUTATIVE: 1, ANTICOMMUTATIVE: -1}[symmetry]
+    c = {}
+    for i in range(1, dim + 1):
+        for j in range(1, dim + 1):
+            if sign is not None and (j < i or (sign < 0 and j == i)):
+                continue
+            for k in range(1, dim + 1):
+                if rng.random() < 0.3:
+                    c[i, j, k] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    if sign is not None and j != i:
+                        c[j, i, k] = sign * c[i, j, k]
+    return AlgebraInstance.from_entries(
+        dim, [(*key, v) for key, v in c.items()])
+
+
+def _random_module(rng, symmetry):
+    coords = [Fraction(rng.choice([-2, -1, 1, 2])) if rng.random() < 0.4
+              else Fraction(0) for _ in range(symmetry.dim)]
+    return orbit_span([Weight3Element(symmetry, tuple(coords))], symmetry)
+
+
+def test_check_relations_matches_dense_reference_on_random_instances():
+    rng = random.Random(12)
+    verdicts = []
+    for n in range(60):
+        symmetry = (REGULAR, COMMUTATIVE, ANTICOMMUTATIVE)[n % 3]
+        alg = _random_instance(rng, rng.randint(1, 4), symmetry)
+        for r in (_random_module(rng, symmetry), _random_module(rng, REGULAR),
+                  algebra_relations(alg)):
+            verdicts.append(_assert_check_matches_reference(alg, r))
+    assert verdicts.count(False) > 30 and verdicts.count(True) > 60
+
+
+def test_tensor_instance_matches_dense_reference():
+    products = (MixedProduct.identity(), MixedProduct.bracket(),
+                MixedProduct.poisson_twist(),
+                MixedProduct.poisson_twist_literal())
+    for a_name in example_names():
+        for b_name in example_names():
+            a, b = example(a_name), example(b_name)
+            for mu in products:
+                got = tensor_instance(a, b, mu)
+                assert got == reference_tensor_instance(a, b, mu), \
+                    (a_name, b_name, mu)
+                assert all(type(v) is Fraction for row in got.structure
+                           for cell in row for v in cell)
 
 
 @pytest.mark.parametrize("p,q", [("leib", "zinb"), ("poiss", "poiss"),

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from operad_forge import cli, tensor_closure
-from operad_forge.algebra_instances import example, example_names
+from operad_forge.algebra_instances import example
 from operad_forge.cli import run
 from operad_forge.operad_calculus import PRESET_NAMES, regular_presets, tilde
+
+from conftest import example_names
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from operad_forge import algebra_instances
 from operad_forge.foundation import combine, full_space, span
 from operad_forge.group_module import (
     ID,
@@ -12,6 +14,7 @@ from operad_forge.group_module import (
     GroupVector,
     IsotypicProfile,
     apply_idempotent,
+    check_invariant,
     group_vector,
 )
 from operad_forge.operad_calculus import (
@@ -21,7 +24,6 @@ from operad_forge.operad_calculus import (
     family_ab,
     family_t,
     find_presentation,
-    full_module,
     operad_from_definition,
     operads_equal,
     orbit_span,
@@ -36,6 +38,7 @@ from operad_forge.operad_calculus import (
     PRESET_NAMES,
 )
 from operad_forge.relation_dsl import parse_relation
+from operad_forge.tensor_closure import minimal_companion
 from operad_forge.weight_spaces import (
     ANTICOMMUTATIVE,
     COMMUTATIVE,
@@ -52,6 +55,7 @@ from operad_forge.weight_spaces import (
     psi,
 )
 
+from conftest import example_names, full_module
 from test_group_module import reference_isotypic_multiplicities
 from test_weight_spaces import reference_psi
 
@@ -372,6 +376,31 @@ def test_report_symmetric_modules_match_fraction_references():
     assert len(modules) == 8
     for r in modules:
         _assert_tables_match_references(QuadraticOperad(r.symmetry, r))
+
+
+def test_constructed_relation_modules_are_invariant():
+    """Neither RelationModule nor QuadraticOperad checks invariance, so
+    every constructor of a relation module must build an invariant one."""
+    modules = (_report_symmetric_modules(COMMUTATIVE)
+               + _report_symmetric_modules(ANTICOMMUTATIVE))
+    for name in PRESET_NAMES:
+        p = preset(name)
+        modules += [p.relations, dual(p).relations]
+        modules += [tilde(p, seed=seed).relations for seed in (0, 1, 2)]
+        if p.symmetry is REGULAR:
+            modules.append(minimal_companion(p))
+    algebras = [algebra_instances.example(n) for n in example_names()]
+    rng = random.Random(5)
+    algebras += [algebra_instances._random_nilpotent(rng.randint(2, 4), rng,
+                                                     "random")
+                 for _ in range(100)]
+    modules += [algebra_instances.algebra_relations(a) for a in algebras]
+    assert len(modules) == 8 + 23 * 5 + 21 + 9 + 100
+    for r in modules:
+        check_invariant(r.space, partial(act_vector, r.symmetry))
+    # rank still refuses a module built by hand that is not invariant
+    with pytest.raises(ValueError, match="not invariant"):
+        rank(RelationModule(REGULAR, span([associator((1, 2, 3)).coords], 12)))
 
 
 _SPARSE = st.sampled_from([Fraction(0)] * 5 + [Fraction(1), Fraction(-1),

@@ -10,7 +10,6 @@ from operad_forge.operad_calculus import (
     QuadraticOperad,
     RelationModule,
     dual,
-    full_module,
     orbit_span,
     presentation_of,
     preset,
@@ -54,6 +53,8 @@ from operad_forge.weight_spaces import (
 
 from conftest import (
     TensorElement3,
+    example_names,
+    full_module,
     reference_act_tensor,
     reference_closure,
     reference_expand,
@@ -502,7 +503,7 @@ def _closure_modules():
     """Relations, duals and tildes of the theorem-1 presets, and Rel(A) of
     the catalog instances, each module once."""
     from operad_forge.algebra_instances import (
-        algebra_relations, example, example_names)
+        algebra_relations, example)
 
     modules = []
     for name in regular_presets() + ["lie", "com"]:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from operad_forge.group_module import C1, ID, PERMS, T12, T23, group_vector
 from operad_forge.weight_spaces import (
     ANTICOMMUTATIVE,
-    ASSOCIATOR,
     COMMUTATIVE,
     LEFT,
     MONOMIALS,
@@ -29,7 +28,7 @@ from operad_forge.weight_spaces import (
     psi,
 )
 
-from conftest import group_vectors, reference_project
+from conftest import ASSOCIATOR, group_vectors, reference_project
 
 
 def test_dimension_of_weight_spaces():
