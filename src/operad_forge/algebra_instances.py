@@ -17,6 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .foundation import Vector, kernel, span
@@ -175,6 +176,11 @@ def check_relations(alg: AlgebraInstance,
     return list(_violations(alg, relations))
 
 
+# Each monomial's shape, and which of (e_a, e_b, e_c) fill its leaves.
+_READS = [(m.shape, itemgetter(*(label - 1 for label in m.labels)))
+          for m in MONOMIALS]
+
+
 def _monomial_values(alg: AlgebraInstance) -> dict:
     """The value of every regular monomial on every ordered basis triple.
 
@@ -202,8 +208,7 @@ def _monomial_values(alg: AlgebraInstance) -> dict:
         LEFT: {t: times(prod[t[0]][t[1]], unit[t[2]]) for t in triples},
         RIGHT: {t: times(unit[t[0]], prod[t[1]][t[2]]) for t in triples},
     }
-    return {abc: [values[m.shape][tuple(abc[l - 1] for l in m.labels)]
-                  for m in MONOMIALS]
+    return {abc: [values[shape][pick(abc)] for shape, pick in _READS]
             for abc in triples}
 
 
@@ -267,11 +272,10 @@ def tensor_instance(a: AlgebraInstance, b: AlgebraInstance,
     if n > MAX_DIM:
         raise ValueError(
             f"tensor product dimension {a.dim}*{b.dim} = {n} exceeds {MAX_DIM}")
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    entries_b = list(b.entries())
+    entries, entries_b = [], list(b.entries())
 
-    def cell(i: int, p: int) -> int:  # 0-based index of e_i (x) e_p
-        return (i - 1) * b.dim + p - 1
+    def at(i: int, p: int) -> int:  # the 1-based index of e_i (x) e_p
+        return (i - 1) * b.dim + p
 
     for (s, t), alpha in zip(PAIR_KEYS, product.coeffs):
         if alpha == 0:
@@ -283,10 +287,8 @@ def tensor_instance(a: AlgebraInstance, b: AlgebraInstance,
             for p, q, r, y in entries_b:
                 if t == SWAP:
                     p, q = q, p
-                c[cell(i, p)][cell(j, q)][cell(k, r)] += alpha * x * y
-    return AlgebraInstance(
-        n, tuple(tuple(tuple(v) for v in row) for row in c), name
-    )
+                entries.append((at(i, p), at(j, q), at(k, r), alpha * x * y))
+    return AlgebraInstance.from_entries(n, entries, name)
 
 
 # ---------------------------------------------------------------------------
