@@ -216,6 +216,19 @@ def test_companion_matches_golden(capsys):
     assert "".join(outs) == (GOLDEN / "companion_regular.txt").read_text()
 
 
+def test_tilde_matches_golden(capsys):
+    """`tilde NAME` for every preset at seed 0, then comm3 (the preset with
+    no stored presentation) at seeds 1 and 2."""
+    argvs = [("tilde", name) for name in PRESET_NAMES]
+    argvs += [("tilde", "comm3", "--seed", seed) for seed in ("1", "2")]
+    outs = []
+    for argv in argvs:
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0, argv
+        outs.append(out)
+    assert "".join(outs) == (GOLDEN / "tilde_presets.txt").read_text()
+
+
 # Fixture pairs whose tensor products have nonzero structure constants.
 _GOLDEN_TENSORS = [
     ("comm_assoc_2d", "comm_assoc_2d"),
