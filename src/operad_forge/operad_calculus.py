@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .foundation import (
     ONE,
@@ -38,7 +38,6 @@ from .weight_spaces import (
     ANTICOMMUTATIVE,
     COMMUTATIVE,
     LEFT,
-    PSI_INDEX,
     REGULAR,
     RIGHT,
     SymmetryClass,
@@ -285,48 +284,25 @@ def _unit_difference(plus: int, minus: int) -> Weight3Element:
     return Weight3Element(REGULAR, tuple(coords))
 
 
-def tilde_generators(
-    presentation: Sequence[tuple[GroupVector, GroupVector]]
-) -> list[Weight3Element]:
-    """The regular-class generator recipe for the companion relations.
-
-    Every generator is psi(s_i, side) - psi(s_j, side') for two group
-    elements, so it is built from their PSI_INDEX monomials directly.
-    """
-    left, right = PSI_INDEX[LEFT], PSI_INDEX[RIGHT]
-    gens: list[Weight3Element] = []
-    for v, w in presentation:
-        a, b = v.coeffs, w.coeffs
-        for i in range(6):
-            for j in range(6):
-                if i == j:
-                    continue
-                if a[i] and a[j] and i < j:
-                    gens.append(_unit_difference(left[i], left[j]))
-                if b[i] and b[j] and i < j:
-                    gens.append(_unit_difference(right[i], right[j]))
-                if a[i] and b[j]:
-                    gens.append(_unit_difference(left[i], right[j]))
-        # i == j mixed term: a_i b_i != 0 also contributes psi(s_i,L)-psi(s_i,R)
-        for i in range(6):
-            if a[i] and b[i]:
-                gens.append(_unit_difference(left[i], right[i]))
-    return gens
-
-
 def tilde(p: QuadraticOperad, seed: int = 0) -> QuadraticOperad:
     """The companion operad making tensor products close (see tensor_closure).
 
+    P~ identifies the monomials in the support of each presented generator
+    psi(v, L) - psi(w, R), so it depends on the presentation only through
+    those supports.  The differences from the first monomial of a support
+    to each other one span the same space as all pairwise differences.
     Output class is regular for a regular input and commutative otherwise.
     """
-    pres = presentation_of(p, seed=seed)
-    gens = tilde_generators(pres)
-    if p.symmetry is REGULAR:
-        rel = orbit_span(gens, REGULAR)
-    else:
-        rel = orbit_span([project(g, COMMUTATIVE) for g in gens], COMMUTATIVE)
+    target = REGULAR if p.symmetry is REGULAR else COMMUTATIVE
+    gens = []
+    for v, w in presentation_of(p, seed=seed):
+        x = presented_relation(v, w, REGULAR)
+        support = [n for n, c in enumerate(x.coords) if c]
+        gens += [project(_unit_difference(support[0], n), target)
+                 for n in support[1:]]
+    rel = orbit_span(gens, target)
     name = f"tilde({p.name})" if p.name else None
-    return QuadraticOperad(rel.symmetry, rel, None, name)
+    return QuadraticOperad(target, rel, None, name)
 
 
 # ---------------------------------------------------------------------------

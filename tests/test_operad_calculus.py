@@ -33,11 +33,10 @@ from operad_forge.operad_calculus import (
     rank,
     regular_presets,
     tilde,
-    tilde_generators,
     zero_module,
     PRESET_NAMES,
 )
-from operad_forge.relation_dsl import parse_relation
+from operad_forge.relation_dsl import format_weight3, parse_relation
 from operad_forge.tensor_closure import minimal_companion
 from operad_forge.weight_spaces import (
     ANTICOMMUTATIVE,
@@ -299,6 +298,29 @@ def test_operad_from_definition_bad_symmetry():
         operad_from_definition({"symmetry": "cyclic", "relations": []})
 
 
+@pytest.mark.parametrize("symmetry,relation,pair", [
+    ("regular", "x*(y*z) - (x*y)*z + (x*z)*y", {"v": "Id - t23", "w": "Id"}),
+    ("comm", "m1 - m2", {"v": "Id", "w": "Id"}),
+], ids=["regular", "comm"])
+def test_zero_presentation_pair_adds_no_tilde_generator(symmetry, relation,
+                                                         pair):
+    """psi(0, L) - psi(0, R) has an empty support, so a zero pair adds no
+    generator next to a generating pair and gives the zero tilde alone."""
+    zero = {"v": "0", "w": "0"}
+
+    def tilde_of(relations, pairs):
+        return tilde(operad_from_definition(
+            {"symmetry": symmetry, "relations": relations,
+             "presentation": pairs})).relations
+
+    alone = tilde_of([relation], [pair])
+    assert alone.dim > 0
+    assert tilde_of([relation], [zero, pair]) == alone
+    assert tilde_of([relation], [pair, zero]) == alone
+    target = REGULAR if symmetry == "regular" else COMMUTATIVE
+    assert tilde_of([], [zero]) == zero_module(target)
+
+
 # --- table-driven Sigma_3 work against the Fraction-sum references -----------
 
 
@@ -331,13 +353,29 @@ def reference_tilde_generators(presentation):
     return gens
 
 
+def reference_tilde(q: QuadraticOperad, seed: int) -> RelationModule:
+    """The orbit span of the pairwise recipe, projected for a symmetric
+    class: the tilde relations before they were built from supports."""
+    gens = reference_tilde_generators(presentation_of(q, seed=seed))
+    if q.symmetry is REGULAR:
+        return orbit_span(gens, REGULAR)
+    return orbit_span([project(g, COMMUTATIVE) for g in gens], COMMUTATIVE)
+
+
+def _assert_tilde_matches_reference(q: QuadraticOperad, seed: int):
+    got = tilde(q, seed=seed).relations
+    want = reference_tilde(q, seed)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
 def _assert_isotypic_matches_reference(r: RelationModule):
     act = partial(act_vector, r.symmetry)
     assert r.isotypic() == reference_isotypic_multiplicities(r.space, act)
 
 
 def _assert_tables_match_references(p: QuadraticOperad, seeds=(0, 1, 2)):
-    """Isotypic profile and tilde recipe of p, dual(p) and tilde(p, seed)."""
+    """Isotypic profile, psi and tilde of p, dual(p) and tilde(p, seed)."""
     for seed in seeds:
         for q in (p, dual(p), tilde(p, seed=seed)):
             _assert_isotypic_matches_reference(q.relations)
@@ -345,12 +383,47 @@ def _assert_tables_match_references(p: QuadraticOperad, seeds=(0, 1, 2)):
             for v, w in pres:
                 assert psi(v, LEFT) == reference_psi(v, LEFT)
                 assert psi(w, RIGHT) == reference_psi(w, RIGHT)
-            assert tilde_generators(pres) == reference_tilde_generators(pres)
+            _assert_tilde_matches_reference(q, seed)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_presets_match_fraction_references(name):
     _assert_tables_match_references(preset(name))
+
+
+def _sparse_definition(seed: int) -> dict:
+    """A seeded regular definition: 1-2 relations of 2-4 monomials with
+    rational weights."""
+    rng = random.Random(seed)
+    relations = []
+    for _ in range(rng.randint(1, 2)):
+        coords = [Fraction(0)] * 12
+        for n in rng.sample(range(12), rng.randint(2, 4)):
+            coords[n] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                 rng.randint(1, 3))
+        relations.append(format_weight3(Weight3Element(REGULAR,
+                                                       tuple(coords))))
+    return {"name": f"sparse{seed}", "symmetry": "regular",
+            "relations": relations}
+
+
+_FAMILY_AND_SPARSE = (
+    [("family_ab", args) for args in
+     [(2, 2), (3, 0), (0, 0), ("1/2", -3)]]
+    + [("family_t", (t,)) for t in (0, "-2/3")]
+    + [("sparse", (seed,)) for seed in range(8)]
+)
+
+
+@pytest.mark.parametrize("kind,args", _FAMILY_AND_SPARSE,
+                         ids=[f"{k}({','.join(map(str, a))})"
+                              for k, a in _FAMILY_AND_SPARSE])
+def test_family_and_sparse_operads_match_fraction_references(kind, args):
+    if kind == "sparse":
+        p = operad_from_definition(_sparse_definition(*args))
+    else:
+        p = preset(kind, *args)
+    _assert_tables_match_references(p)
 
 
 def _report_symmetric_modules(symmetry: SymmetryClass):
@@ -419,8 +492,7 @@ def _sparse_elements(symmetry):
 def test_random_orbit_spans_match_fraction_references(xs):
     r = orbit_span(xs, xs[0].symmetry)
     _assert_isotypic_matches_reference(r)
-    pres = presentation_of(QuadraticOperad(r.symmetry, r))
-    assert tilde_generators(pres) == reference_tilde_generators(pres)
+    _assert_tilde_matches_reference(QuadraticOperad(r.symmetry, r), seed=0)
 
 
 # --- orbit_span on primitive integer rows against the six-images loop ---------
@@ -453,7 +525,7 @@ def test_orbit_span_matches_reference_on_preset_generators(name):
     _assert_orbit_span_matches_reference(p.relations.basis_elements(),
                                          p.symmetry)
     for seed in (0, 1, 2):
-        gens = tilde_generators(presentation_of(p, seed=seed))
+        gens = reference_tilde_generators(presentation_of(p, seed=seed))
         if p.symmetry is REGULAR:
             _assert_orbit_span_matches_reference(gens, REGULAR)
         else:
