@@ -632,8 +632,12 @@ def _build_parser() -> argparse.ArgumentParser:
     v_sub = p_verify.add_subparsers(dest="what", required=True)
     v_t1 = v_sub.add_parser("theorem1", parents=[common])
     group = v_t1.add_mutually_exclusive_group()
-    group.add_argument("--preset")
-    group.add_argument("--all-presets", action="store_true")
+    group.add_argument("--preset",
+                       help="check only this preset or definition file "
+                       "(default: the regular presets, lie and com)")
+    group.add_argument("--all-presets", action="store_true",
+                       help="check the default set; the same as giving "
+                       "no --preset")
     v_bl = v_sub.add_parser("bracket-lie", parents=[common])
     v_bl.add_argument("--preset")
     v_sub.add_parser("twisted-poisson", parents=[common])
