@@ -355,7 +355,11 @@ def reference_tilde_generators(presentation):
 
 def reference_tilde(q: QuadraticOperad, seed: int) -> RelationModule:
     """The orbit span of the pairwise recipe, projected for a symmetric
-    class: the tilde relations before they were built from supports."""
+    class: every pair of monomials in each support identified.
+
+    `orbit_span` itself is checked against `reference_orbit_span` on these
+    generators in test_orbit_span_matches_reference_on_preset_generators.
+    """
     gens = reference_tilde_generators(presentation_of(q, seed=seed))
     if q.symmetry is REGULAR:
         return orbit_span(gens, REGULAR)
