@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterable, Optional
 
 from .foundation import (
@@ -60,7 +60,8 @@ class RelationModule:
     pairing satisfies <sx, sy> = +-<x, y>), from `algebra_relations`
     (whose basis triples are closed under permutation) or from the
     report's isotypic pieces.  `isotypic` checks it, so `rank` refuses a
-    module built by hand that is not invariant.
+    module built by hand that is not invariant.  The isotypic profile is
+    computed once per module object; later calls return the same profile.
     """
 
     symmetry: SymmetryClass
@@ -83,6 +84,10 @@ class RelationModule:
         return [Weight3Element(self.symmetry, b) for b in self.space.basis]
 
     def isotypic(self) -> IsotypicProfile:
+        return self._isotypic
+
+    @cached_property
+    def _isotypic(self) -> IsotypicProfile:
         return isotypic_multiplicities(
             self.space, partial(act_vector, self.symmetry)
         )
@@ -147,6 +152,12 @@ class QuadraticOperad:
                 raise ValueError(
                     "presentation does not generate the relation module"
                 )
+
+    @cached_property
+    def _tildes(self) -> dict:
+        """`tilde` results of this object, by seed (one key when a
+        presentation is stored, since the seed is then unused)."""
+        return {}
 
 
 def presented_relation(v: GroupVector, w: GroupVector,
@@ -233,8 +244,11 @@ def _equivariant_lift(x: Weight3Element) -> Weight3Element:
     return out
 
 
-def find_presentation(p: QuadraticOperad, seed: int = 0,
-                      max_tries: int = 500) -> list[tuple[GroupVector, GroupVector]]:
+_PRESENTATION_TRIES = 500
+
+
+def find_presentation(p: QuadraticOperad,
+                      seed: int = 0) -> list[tuple[GroupVector, GroupVector]]:
     """Deterministically pick rank-many module generators and split them L/R.
 
     Seeded pseudo-random rational combinations of the relation basis are
@@ -246,7 +260,7 @@ def find_presentation(p: QuadraticOperad, seed: int = 0,
     if k == 0:
         return []
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(_PRESENTATION_TRIES):
         gens = _random_generators(p.relations, k, rng)
         if gens is not None:
             return [decompose_LR(_equivariant_lift(g)) for g in gens]
@@ -292,7 +306,14 @@ def tilde(p: QuadraticOperad, seed: int = 0) -> QuadraticOperad:
     those supports.  The differences from the first monomial of a support
     to each other one span the same space as all pairwise differences.
     Output class is regular for a regular input and commutative otherwise.
+
+    A tilde is computed once per operad object and seed (once per object
+    when a presentation is stored); a repeat call returns the same
+    immutable operad.
     """
+    key = seed if p.presentation is None else None
+    if key in p._tildes:
+        return p._tildes[key]
     target = REGULAR if p.symmetry is REGULAR else COMMUTATIVE
     gens = []
     for v, w in presentation_of(p, seed=seed):
@@ -302,7 +323,8 @@ def tilde(p: QuadraticOperad, seed: int = 0) -> QuadraticOperad:
                  for n in support[1:]]
     rel = orbit_span(gens, target)
     name = f"tilde({p.name})" if p.name else None
-    return QuadraticOperad(target, rel, None, name)
+    t = p._tildes[key] = QuadraticOperad(target, rel, None, name)
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,19 @@ def test_show_malformed_definition_exits_2(tmp_path, capsys, definition,
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+def test_tilde_of_definition_whose_presentation_misses_exits_2(tmp_path,
+                                                              capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({
+        "symmetry": "regular", "relations": ["(x*y)*z - x*(y*z)"],
+        "presentation": [{"v": "Id", "w": "Id - t12"}]}))
+    code, out, err = _run(capsys, "tilde", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "does not generate" in err
+
+
 def test_tilde_subcommand(capsys):
     code, out, _ = _run(capsys, "tilde", "leib")
     assert code == 0
@@ -397,6 +410,16 @@ def test_report_matches_golden(capsys):
     code, out, _ = _run(capsys, "report", "paper-tables")
     assert code == 0
     assert out == (GOLDEN / "paper_tables.txt").read_text()
+
+
+def test_report_stability_probe_reads_each_seed(capsys):
+    # At seed 0 every probe dimension is 11, so the golden report cannot
+    # tell the probe's three seeds apart; at seed 107838 g3ass shows it.
+    code, out, _ = _run(capsys, "report", "paper-tables", "--seed", "107838")
+    assert code == 0
+    probe = out.split("[tilde stability probe]")[1].split("\n\n")[0]
+    rows = [line.split() for line in probe.splitlines()]
+    assert ["g3ass", "9", "11", "11", "9", "false"] in rows
 
 
 def test_report_json(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from functools import partial
@@ -189,6 +190,52 @@ def test_presentation_validation_rejects_mismatch():
     bad = ((GroupVector.basis(ID), GroupVector.basis(ID)),)  # presents Ass
     with pytest.raises(ValueError):
         QuadraticOperad(REGULAR, p.relations, bad, "broken")
+
+
+def test_definition_whose_presentation_misses_the_relations_is_rejected():
+    with pytest.raises(ValueError, match="does not generate"):
+        operad_from_definition({
+            "symmetry": "regular", "relations": ["(x*y)*z - x*(y*z)"],
+            "presentation": [{"v": "Id", "w": "Id - t12"}]})
+
+
+def _stripped(name: str) -> QuadraticOperad:
+    p = preset(name)
+    return QuadraticOperad(p.symmetry, p.relations, None, p.name)
+
+
+def _identity(obj) -> tuple:
+    """What a cache on obj must leave alone: its hash, repr and fields."""
+    return (hash(obj), repr(obj),
+            [f.name for f in dataclasses.fields(obj)])
+
+
+def test_tilde_is_cached_per_object_and_seed():
+    # At seed 107841 the stripped g3ass finds a presentation whose tilde
+    # has dimension 9; seed 1 gives the full-support 11.  A cache blind to
+    # the seed would return the seed-1 tilde again.
+    p = _stripped("g3ass")
+    got = [tilde(p, seed=seed) for seed in (1, 107841, 1)]
+    assert [t.relations.dim for t in got] == [11, 9, 11]
+    assert got[2] is got[0]
+    for seed, t in zip((1, 107841, 1), got):
+        fresh = tilde(_stripped("g3ass"), seed=seed)
+        assert t == fresh and repr(t) == repr(fresh)
+    # A stored presentation ignores the seed, so every seed shares one.
+    leib = preset("leib")
+    assert tilde(leib, seed=0) is tilde(leib, seed=5)
+
+
+def test_caches_leave_value_hash_repr_and_fields_alone():
+    p = _stripped("g3ass")
+    before = (_identity(p), _identity(p.relations))
+    tilde(p, seed=1)
+    warm = rank(p.relations), p.relations.isotypic()
+    assert (_identity(p), _identity(p.relations)) == before
+    assert p == _stripped("g3ass")
+    cold = RelationModule(p.symmetry, p.relations.space)
+    assert warm == (rank(cold), cold.isotypic())
+    assert p.relations.isotypic() is warm[1]
 
 
 def test_find_presentation_round_trip():
