@@ -341,12 +341,6 @@ def _fixtures() -> dict[str, AlgebraInstance]:
 _CATALOG = _fixtures()
 
 
-def example(name: str) -> AlgebraInstance:
-    if name not in _CATALOG:
-        raise ValueError(f"unknown example name: {name!r}")
-    return _CATALOG[name]
-
-
 # ---------------------------------------------------------------------------
 # Counterexample search.
 

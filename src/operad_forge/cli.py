@@ -200,10 +200,7 @@ def _cmd_show(args) -> int:
         cmp_sec = Section("dual comparison", ["field", "value"])
         cmp_sec.rows.append(["dual symmetry", d.symmetry.value])
         cmp_sec.rows.append(["dual dimension", str(d.relations.dim)])
-        same = (
-            d.symmetry is p.symmetry
-            and d.relations.space == p.relations.space
-        )
+        same = operads_equal(d, p)
         cmp_sec.rows.append(["equals relations", str(same).lower()])
         report.sections.append(cmp_sec)
     if args.tilde:
@@ -214,11 +211,7 @@ def _cmd_show(args) -> int:
         cmp_sec = Section("tilde comparison", ["field", "value"])
         cmp_sec.rows.append(["tilde symmetry", t.symmetry.value])
         cmp_sec.rows.append(["tilde dimension", str(t.relations.dim)])
-        d = dual(p)
-        same = (
-            d.symmetry is t.symmetry
-            and d.relations.space == t.relations.space
-        )
+        same = operads_equal(dual(p), t)
         cmp_sec.rows.append(["tilde equals dual", str(same).lower()])
         report.sections.append(cmp_sec)
     return _emit(report, args.json)
@@ -404,17 +397,17 @@ def _cmd_search(args) -> int:
 
 
 _FAMILY_SWEEP = (
-    ("family_ab(3,0)", ("family_ab", 3, 0)),
-    ("family_ab(0,3)", ("family_ab", 0, 3)),
-    ("family_ab(0,0)", ("family_ab", 0, 0)),
-    ("family_ab(2,2)", ("family_ab", 2, 2)),
-    ("family_ab(5,-1)", ("family_ab", 5, -1)),
-    ("family_ab(1/2,1/3)", ("family_ab", Fraction(1, 2), Fraction(1, 3))),
-    ("family_t(0)", ("family_t", 0)),
-    ("family_t(2)", ("family_t", 2)),
-    ("family_t(-3)", ("family_t", -3)),
-    ("table_row_5", ("table_row_5",)),
-    ("table_row_6", ("table_row_6",)),
+    ("family_ab", 3, 0),
+    ("family_ab", 0, 3),
+    ("family_ab", 0, 0),
+    ("family_ab", 2, 2),
+    ("family_ab", 5, -1),
+    ("family_ab", Fraction(1, 2), Fraction(1, 3)),
+    ("family_t", 0),
+    ("family_t", 2),
+    ("family_t", -3),
+    ("table_row_5",),
+    ("table_row_6",),
 )
 
 
@@ -425,17 +418,16 @@ def _family_sweep_section(seed: int) -> Section:
          "tilde = dual(lieadm)"],
     )
     comm3 = preset("comm3").relations.space
-    entries = [(f"g{i}ass", preset(f"g{i}ass")) for i in range(1, 7)]
+    entries = [preset(f"g{i}ass") for i in range(1, 7)]
     # Filled from g6 down, so the first variant with a given module wins.
-    variant = {p.relations.space: label for label, p in reversed(entries)}
-    entries += [(label, preset(*spec_args))
-                for label, spec_args in _FAMILY_SWEEP]
-    for label, p in entries:
+    variant = {p.relations.space: p.name for p in reversed(entries)}
+    entries += [preset(*spec) for spec in _FAMILY_SWEEP]
+    for p in entries:
         t = tilde(p, seed=seed)
         d = dual(p)
         s.rows.append(
             [
-                label,
+                p.name,
                 str(p.relations.dim),
                 variant.get(p.relations.space, "-"),
                 str(t.relations.space == d.relations.space).lower(),
@@ -485,8 +477,6 @@ def _symmetric_enumeration_section(seed: int) -> Section:
             p = QuadraticOperad(symmetry, module)
             t = tilde(p, seed=seed)
             d = dual(p)
-            comparable = d.symmetry is t.symmetry
-            same = comparable and d.relations.space == t.relations.space
             s.rows.append(
                 [
                     symmetry.value,
@@ -496,7 +486,8 @@ def _symmetric_enumeration_section(seed: int) -> Section:
                     str(t.relations.dim),
                     d.symmetry.value,
                     str(d.relations.dim),
-                    str(same).lower() if comparable else "n/a",
+                    (str(operads_equal(d, t)).lower()
+                     if d.symmetry is t.symmetry else "n/a"),
                 ]
             )
     return s

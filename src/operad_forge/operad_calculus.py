@@ -34,6 +34,11 @@ from .group_module import (
     subgroup_alternating,
     subgroup_symmetric,
 )
+from .relation_dsl import (
+    parse_comb_relation,
+    parse_group_vector,
+    parse_relation,
+)
 from .weight_spaces import (
     ANTICOMMUTATIVE,
     COMMUTATIVE,
@@ -44,7 +49,6 @@ from .weight_spaces import (
     Weight3Element,
     act_vector,
     associator,
-    comb_in,
     decompose_LR,
     project,
     psi,
@@ -350,18 +354,32 @@ def rank_search(r: RelationModule, seed: int = 0, trials: int = 200) -> int:
 # Preset catalog.
 
 
-def _gi_ass(i: int, name: Optional[str] = None) -> QuadraticOperad:
-    vi = subgroup_alternating(i)
-    gen = presented_relation(vi, vi, REGULAR)
-    rel = orbit_span([gen], REGULAR)
-    return QuadraticOperad(REGULAR, rel, ((vi, vi),), name or f"g{i}ass")
+def _presented(symmetry: SymmetryClass,
+               pairs: tuple[tuple[GroupVector, GroupVector], ...],
+               name: str) -> QuadraticOperad:
+    """The operad whose relations are the orbit span of its presentation."""
+    gens = [presented_relation(v, w, symmetry) for v, w in pairs]
+    return QuadraticOperad(symmetry, orbit_span(gens, symmetry), pairs, name)
 
 
-def _gi_p3ass(i: int, name: Optional[str] = None) -> QuadraticOperad:
-    wi = subgroup_symmetric(i)
-    gen = presented_relation(wi, wi, REGULAR)
-    rel = orbit_span([gen], REGULAR)
-    return QuadraticOperad(REGULAR, rel, ((wi, wi),), name or f"g{i}p3ass")
+def _relation(gen: Weight3Element, name: str) -> QuadraticOperad:
+    """One regular relation, presented by its split into L and R parts."""
+    return _presented(REGULAR, (decompose_LR(gen),), name)
+
+
+def _subgroup(vector, i: int, name: str) -> QuadraticOperad:
+    """The relation psi(u, L) - psi(u, R) of the subgroup vector u = V_i
+    (`subgroup_alternating`) or W_i (`subgroup_symmetric`)."""
+    u = vector(i)
+    return _presented(REGULAR, ((u, u),), name)
+
+
+def _associator_sum(coeffs: dict[tuple[int, int, int], Fraction]
+                    ) -> Weight3Element:
+    gen = Weight3Element.zero(REGULAR)
+    for labels, c in coeffs.items():
+        gen = gen + associator(labels).scaled(c)
+    return gen
 
 
 def _comm3() -> QuadraticOperad:
@@ -376,60 +394,6 @@ def _comm3() -> QuadraticOperad:
     ]
     rel = orbit_span(gens, REGULAR)
     return QuadraticOperad(REGULAR, rel, None, "comm3")
-
-
-def _lie() -> QuadraticOperad:
-    jacobi = comb_in(ANTICOMMUTATIVE, 1) + comb_in(ANTICOMMUTATIVE, 2) \
-        + comb_in(ANTICOMMUTATIVE, 3)
-    rel = orbit_span([jacobi], ANTICOMMUTATIVE)
-    pres = ((group_vector((1, ID), (1, C1), (1, C2)),
-             group_vector((1, ID), (1, C1), (1, C2))),)
-    return QuadraticOperad(ANTICOMMUTATIVE, rel, pres, "lie")
-
-
-def _com() -> QuadraticOperad:
-    rel = orbit_span([comb_in(COMMUTATIVE, 1) - comb_in(COMMUTATIVE, 2)],
-                     COMMUTATIVE)
-    pres = ((GroupVector.basis(ID), GroupVector.basis(ID)),)
-    return QuadraticOperad(COMMUTATIVE, rel, pres, "com")
-
-
-def _leib() -> QuadraticOperad:
-    v = group_vector((1, ID), (-1, T23))
-    w = GroupVector.basis(ID)
-    rel = orbit_span([presented_relation(v, w, REGULAR)], REGULAR)
-    return QuadraticOperad(REGULAR, rel, ((v, w),), "leib")
-
-
-def _zinb() -> QuadraticOperad:
-    # (xy)z - x(yz) - x(zy) = 0
-    from .relation_dsl import parse_relation
-
-    gen = parse_relation("(x*y)*z - x*(y*z) - x*(z*y)")
-    rel = orbit_span([gen], REGULAR)
-    v, w = decompose_LR(gen)
-    return QuadraticOperad(REGULAR, rel, ((v, w),), "zinb")
-
-
-def _poiss() -> QuadraticOperad:
-    from .relation_dsl import parse_relation
-
-    gen = parse_relation(
-        "3*A(x,y,z) - (x*z)*y - (y*z)*x + (y*x)*z + (z*x)*y"
-    )
-    rel = orbit_span([gen], REGULAR)
-    v, w = decompose_LR(gen)
-    return QuadraticOperad(REGULAR, rel, ((v, w),), "poiss")
-
-
-def _from_associator_combination(coeffs: dict[tuple[int, int, int], Fraction],
-                                 name: str) -> QuadraticOperad:
-    gen = Weight3Element.zero(REGULAR)
-    for labels, c in coeffs.items():
-        gen = gen + associator(labels).scaled(c)
-    rel = orbit_span([gen], REGULAR)
-    v, w = decompose_LR(gen)
-    return QuadraticOperad(REGULAR, rel, ((v, w),), name)
 
 
 def family_ab(alpha, beta) -> QuadraticOperad:
@@ -447,9 +411,7 @@ def family_ab(alpha, beta) -> QuadraticOperad:
         (2, 3, 1): beta,
         (3, 1, 2): 3 - alpha - beta,
     }
-    return _from_associator_combination(
-        coeffs, f"family_ab({alpha},{beta})"
-    )
+    return _relation(_associator_sum(coeffs), f"family_ab({alpha},{beta})")
 
 
 def family_t(t) -> QuadraticOperad:
@@ -464,49 +426,40 @@ def family_t(t) -> QuadraticOperad:
         (2, 3, 1): Fraction(1),
         (3, 1, 2): 1 - t,
     }
-    return _from_associator_combination(coeffs, f"family_t({t})")
+    return _relation(_associator_sum(coeffs), f"family_t({t})")
 
 
-def _table_row_5() -> QuadraticOperad:
-    coeffs = {
-        (1, 2, 3): Fraction(2),
-        (2, 1, 3): Fraction(1),
-        (1, 3, 2): Fraction(1),
-        (2, 3, 1): Fraction(1),
-        (3, 1, 2): Fraction(1),
-    }
-    return _from_associator_combination(coeffs, "table_row_5")
+_UNIT = GroupVector.basis(ID)
+_CYCLIC = group_vector((1, ID), (1, C1), (1, C2))
 
-
-def _table_row_6() -> QuadraticOperad:
-    coeffs = {
-        (1, 2, 3): Fraction(2),
-        (2, 1, 3): Fraction(-1),
-        (3, 2, 1): Fraction(-1),
-        (1, 3, 2): Fraction(-1),
-        (2, 3, 1): Fraction(1),
-    }
-    return _from_associator_combination(coeffs, "table_row_6")
-
-
-_SIMPLE_PRESETS = {
+# Each name's builder, in catalog order; every entry except comm3 is built
+# from the presentation it stores.
+_PRESETS = {
+    "ass": partial(_subgroup, subgroup_alternating, 1, "ass"),
+    **{f"g{i}ass": partial(_subgroup, subgroup_alternating, i, f"g{i}ass")
+       for i in range(1, 7)},
+    **{f"g{i}p3ass": partial(_subgroup, subgroup_symmetric, i, f"g{i}p3ass")
+       for i in range(1, 7)},
+    "lieadm": partial(_subgroup, subgroup_alternating, 6, "lieadm"),
+    "p3ass": partial(_subgroup, subgroup_symmetric, 6, "p3ass"),
+    "com": partial(_presented, COMMUTATIVE, ((_UNIT, _UNIT),), "com"),
     "comm3": _comm3,
-    "lie": _lie,
-    "com": _com,
-    "leib": _leib,
-    "zinb": _zinb,
-    "poiss": _poiss,
-    "table_row_5": _table_row_5,
-    "table_row_6": _table_row_6,
+    "leib": partial(_presented, REGULAR,
+                    ((group_vector((1, ID), (-1, T23)), _UNIT),), "leib"),
+    "lie": partial(_presented, ANTICOMMUTATIVE, ((_CYCLIC, _CYCLIC),), "lie"),
+    "poiss": lambda: _relation(parse_relation(
+        "3*A(x,y,z) - (x*z)*y - (y*z)*x + (y*x)*z + (z*x)*y"), "poiss"),
+    "table_row_5": lambda: _relation(parse_relation(
+        "2*A(x,y,z) + A(y,x,z) + A(x,z,y) + A(y,z,x) + A(z,x,y)"),
+        "table_row_5"),
+    "table_row_6": lambda: _relation(parse_relation(
+        "2*A(x,y,z) - A(y,x,z) - A(z,y,x) - A(x,z,y) + A(y,z,x)"),
+        "table_row_6"),
+    "zinb": lambda: _relation(
+        parse_relation("(x*y)*z - x*(y*z) - x*(z*y)"), "zinb"),
 }
 
-PRESET_NAMES = (
-    ["ass"]
-    + [f"g{i}ass" for i in range(1, 7)]
-    + [f"g{i}p3ass" for i in range(1, 7)]
-    + ["lieadm", "p3ass"]
-    + sorted(_SIMPLE_PRESETS)
-)
+PRESET_NAMES = list(_PRESETS)
 
 
 def preset(name: str, *params) -> QuadraticOperad:
@@ -519,27 +472,9 @@ def preset(name: str, *params) -> QuadraticOperad:
         return family_t(*params)
     if params:
         raise ValueError(f"preset {name!r} takes no parameters")
-    if name == "ass":
-        return _gi_ass(1, "ass")
-    if name == "lieadm":
-        return _gi_ass(6, "lieadm")
-    if name == "p3ass":
-        return _gi_p3ass(6, "p3ass")
-    if name.startswith("g") and name.endswith("p3ass"):
-        i = _subgroup_index(name[1:-5], name)
-        return _gi_p3ass(i)
-    if name.startswith("g") and name.endswith("ass"):
-        i = _subgroup_index(name[1:-3], name)
-        return _gi_ass(i)
-    if name in _SIMPLE_PRESETS:
-        return _SIMPLE_PRESETS[name]()
-    raise ValueError(f"unknown preset name: {name!r}")
-
-
-def _subgroup_index(text: str, name: str) -> int:
-    if text not in {"1", "2", "3", "4", "5", "6"}:
+    if name not in _PRESETS:
         raise ValueError(f"unknown preset name: {name!r}")
-    return int(text)
+    return _PRESETS[name]()
 
 
 _SYMMETRY_NAMES = {
@@ -557,12 +492,6 @@ def operad_from_definition(data: dict) -> QuadraticOperad:
     classes), optional `presentation` (list of {v, w} group-vector strings).
     A definition of any other shape is a ValueError that names the field.
     """
-    from .relation_dsl import (
-        parse_comb_relation,
-        parse_group_vector,
-        parse_relation,
-    )
-
     if not isinstance(data, dict):
         raise ValueError(
             f"an operad definition is a JSON object, got {_json_type(data)}")

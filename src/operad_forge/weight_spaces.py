@@ -148,13 +148,9 @@ def act_monomial(sigma: Perm3, m: Monomial3) -> Monomial3:
     return Monomial3(m.shape, tuple(inv(l) for l in m.labels))
 
 
-def act(sigma: Perm3, x: Weight3Element) -> Weight3Element:
-    """Linear extension of the leaf-relabelling action, by table lookup."""
-    return Weight3Element(x.symmetry, act_vector(x.symmetry, sigma, x.coords))
-
-
 def act_vector(symmetry: SymmetryClass, sigma: Perm3, v: Vector) -> Vector:
-    """The coordinates of act(sigma, x) for x with coordinates v."""
+    """The coordinates of sigma applied to the element with coordinates v:
+    the linear extension of the leaf-relabelling action, by table lookup."""
     return tuple(v[i] if s > 0 else -v[i]
                  for i, s in ACTION_TABLE[symmetry, sigma])
 

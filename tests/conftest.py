@@ -22,6 +22,7 @@ from operad_forge.weight_spaces import (
     REGULAR,
     RIGHT,
     Weight3Element,
+    act_vector,
 )
 
 ASSOCIATOR = (
@@ -33,6 +34,18 @@ ASSOCIATOR = (
 def example_names():
     """The names of the instance catalog, sorted."""
     return sorted(algebra_instances._CATALOG)
+
+
+def example(name):
+    """The instance catalog's algebra of that name."""
+    if name not in algebra_instances._CATALOG:
+        raise ValueError(f"unknown example name: {name!r}")
+    return algebra_instances._CATALOG[name]
+
+
+def act(sigma, x):
+    """sigma applied to a weight-3 element, through `act_vector`."""
+    return Weight3Element(x.symmetry, act_vector(x.symmetry, sigma, x.coords))
 
 
 def full_module(symmetry):

@@ -11,7 +11,6 @@ from itertools import permutations
 
 from operad_forge.algebra_instances import (
     commutativity_violations,
-    example,
     satisfies,
     tensor_instance,
 )
@@ -55,6 +54,8 @@ from operad_forge.weight_spaces import (
     Weight3Element,
     associator,
 )
+
+from conftest import example
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "paper_tables.txt"
 

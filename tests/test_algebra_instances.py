@@ -12,7 +12,6 @@ from operad_forge.algebra_instances import (
     algebra_relations,
     check_relations,
     commutativity_violations,
-    example,
     satisfies,
     search_counterexample,
     tensor_instance,
@@ -37,6 +36,7 @@ from operad_forge.weight_spaces import (
 )
 
 from conftest import (
+    example,
     example_names,
     full_module,
     reference_tensor_instance,

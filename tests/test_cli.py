@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from operad_forge import cli, tensor_closure
-from operad_forge.algebra_instances import example
 from operad_forge.cli import run
 from operad_forge.operad_calculus import PRESET_NAMES, regular_presets, tilde
 
-from conftest import example_names
+from conftest import example, example_names
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -213,6 +212,8 @@ def test_verify_negative_symmetric_p_needs_commutative_q(capsys):
     (("verify", "negative", "--p", "leib", "--q", "zinb"),
      "verify_negative_leib_zinb.txt"),
     (("verify", "theorem1", "--all-presets"), "verify_theorem1_all.txt"),
+    (("verify", "bracket-lie"), "verify_bracket_lie.txt"),
+    (("verify", "twisted-poisson"), "verify_twisted_poisson.txt"),
 ])
 def test_verify_matches_golden(capsys, argv, golden):
     code, out, _ = _run(capsys, *argv)

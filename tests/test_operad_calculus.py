@@ -47,7 +47,6 @@ from operad_forge.weight_spaces import (
     RIGHT,
     SymmetryClass,
     Weight3Element,
-    act,
     act_vector,
     associator,
     comb_in,
@@ -55,7 +54,7 @@ from operad_forge.weight_spaces import (
     psi,
 )
 
-from conftest import example_names, full_module
+from conftest import act, example, example_names, full_module
 from test_group_module import reference_isotypic_multiplicities
 from test_weight_spaces import reference_psi
 
@@ -69,7 +68,6 @@ def test_orbit_span_of_associator_is_six_dimensional():
 def test_orbit_span_alternating_sum_is_one_dimensional():
     x = Weight3Element.zero(REGULAR)
     from operad_forge.group_module import PERMS
-    from operad_forge.weight_spaces import act
 
     base = -associator((1, 2, 3))
     for sigma in PERMS:
@@ -110,6 +108,21 @@ def test_unknown_preset():
         preset("g7ass")
     with pytest.raises(ValueError):
         preset("leib", 3)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("nope",), "unknown preset name: 'nope'"),
+    (("nope", 1), "preset 'nope' takes no parameters"),
+    (("leib", 1), "preset 'leib' takes no parameters"),
+    (("family_t",), "preset 'family_t' takes parameters"),
+    (("g7ass",), "unknown preset name: 'g7ass'"),
+    (("g0p3ass",), "unknown preset name: 'g0p3ass'"),
+    (("gass",), "unknown preset name: 'gass'"),
+])
+def test_preset_errors_name_the_input(args, message):
+    with pytest.raises(ValueError) as err:
+        preset(*args)
+    assert str(err.value) == message
 
 
 def test_preset_names_resolve():
@@ -178,7 +191,11 @@ def test_tilde_of_poisson_is_comm3():
 
 
 def test_presented_relation_generates_presets():
-    for name in ("leib", "zinb", "poiss", "g3ass"):
+    # comm3 is the one preset built from relations, with no presentation.
+    assert preset("comm3").presentation is None
+    for name in PRESET_NAMES:
+        if name == "comm3":
+            continue
         p = preset(name)
         gens = [presented_relation(v, w, p.symmetry)
                 for v, w in p.presentation]
@@ -513,7 +530,7 @@ def test_constructed_relation_modules_are_invariant():
         modules += [tilde(p, seed=seed).relations for seed in (0, 1, 2)]
         if p.symmetry is REGULAR:
             modules.append(minimal_companion(p))
-    algebras = [algebra_instances.example(n) for n in example_names()]
+    algebras = [example(n) for n in example_names()]
     rng = random.Random(5)
     algebras += [algebra_instances._random_nilpotent(rng.randint(2, 4), rng,
                                                      "random")

@@ -26,12 +26,12 @@ from operad_forge.weight_spaces import (
     LEFT,
     REGULAR,
     RIGHT,
-    act,
     decompose_LR,
     psi,
 )
 
 from conftest import (
+    act,
     any_symmetry,
     group_vectors,
     perms,

@@ -44,7 +44,6 @@ from operad_forge.weight_spaces import (
     RIGHT,
     Monomial3,
     Weight3Element,
-    act,
     act_vector,
     associator,
     lift,
@@ -53,6 +52,8 @@ from operad_forge.weight_spaces import (
 
 from conftest import (
     TensorElement3,
+    act,
+    example,
     example_names,
     full_module,
     reference_act_tensor,
@@ -502,8 +503,7 @@ NAMED_PRODUCTS = (MixedProduct.identity(), MixedProduct.bracket(),
 def _closure_modules():
     """Relations, duals and tildes of the theorem-1 presets, and Rel(A) of
     the catalog instances, each module once."""
-    from operad_forge.algebra_instances import (
-        algebra_relations, example)
+    from operad_forge.algebra_instances import algebra_relations
 
     modules = []
     for name in regular_presets() + ["lie", "com"]:

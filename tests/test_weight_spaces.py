@@ -17,7 +17,6 @@ from operad_forge.weight_spaces import (
     RIGHT,
     Monomial3,
     Weight3Element,
-    act,
     act_monomial,
     act_vector,
     associator,
@@ -28,7 +27,7 @@ from operad_forge.weight_spaces import (
     psi,
 )
 
-from conftest import ASSOCIATOR, group_vectors, reference_project
+from conftest import ASSOCIATOR, act, group_vectors, reference_project
 
 
 def test_dimension_of_weight_spaces():
