@@ -23,7 +23,7 @@ from .algebra_instances import (
     search_counterexample,
     tensor_instance,
 )
-from .foundation import combine, full_space, span
+from .foundation import full_space, span
 from .group_module import apply_idempotent
 from .operad_calculus import (
     PRESET_NAMES,
@@ -192,8 +192,9 @@ def _cmd_show(args) -> int:
                 [format_weight3(x), str(orbit_span([x]).dim)]
             )
         report.sections.append(s)
-    if args.dual:
+    if args.dual or args.tilde:
         d = dual(p)
+    if args.dual:
         s = Section("dual", ["basis relation"])
         s.rows = _relation_rows(d.relations)
         report.sections.append(s)
@@ -211,7 +212,7 @@ def _cmd_show(args) -> int:
         cmp_sec = Section("tilde comparison", ["field", "value"])
         cmp_sec.rows.append(["tilde symmetry", t.symmetry.value])
         cmp_sec.rows.append(["tilde dimension", str(t.relations.dim)])
-        same = operads_equal(dual(p), t)
+        same = operads_equal(d, t)
         cmp_sec.rows.append(["tilde equals dual", str(same).lower()])
         report.sections.append(cmp_sec)
     return _emit(report, args.json)
@@ -469,9 +470,8 @@ def _symmetric_enumeration_section(seed: int) -> Section:
         for mask in range(2 ** len(pieces)):
             chosen = [pieces[i] for i in range(len(pieces))
                       if mask & (1 << i)]
-            space = span([], symmetry.dim)
-            for _, sp in chosen:
-                space = combine(space, sp, "sum")
+            space = span([b for _, sp in chosen for b in sp.basis],
+                         symmetry.dim)
             label = "+".join(name for name, _ in chosen) or "zero"
             module = RelationModule(symmetry, space)
             p = QuadraticOperad(symmetry, module)

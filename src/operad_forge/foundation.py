@@ -245,18 +245,6 @@ def full_space(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, tuple(eye))
 
 
-def combine(s: Subspace, t: Subspace, mode: str) -> Subspace:
-    """Subspace sum or intersection (mode 'sum' | 'intersection')."""
-    if s.ambient_dim != t.ambient_dim:
-        raise ValueError("dimension mismatch")
-    if mode == "sum":
-        return span(list(s.basis) + list(t.basis), s.ambient_dim)
-    if mode == "intersection":
-        # S ∩ T = (S^⊥ + T^⊥)^⊥
-        return kernel(span(kernel(s).basis + kernel(t).basis, s.ambient_dim))
-    raise ValueError(f"unknown mode: {mode!r}")
-
-
 def kernel(row_space: Subspace) -> Subspace:
     """Kernel of the matrix whose rows are the RREF basis of row_space."""
     n = row_space.ambient_dim

@@ -122,9 +122,6 @@ class GroupVector:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
 
-    def support(self) -> list[Perm3]:
-        return [p for p in PERMS if self[p] != 0]
-
     def __str__(self):
         from .relation_dsl import format_group_vector
 

@@ -141,6 +141,9 @@ def rank(r: RelationModule) -> int:
 
 @dataclass(frozen=True)
 class QuadraticOperad:
+    """A stored presentation is trusted to generate the relations: only
+    `_presented`, which builds them as its orbit span, stores one."""
+
     symmetry: SymmetryClass
     relations: RelationModule
     presentation: Optional[tuple[tuple[GroupVector, GroupVector], ...]] = None
@@ -149,13 +152,6 @@ class QuadraticOperad:
     def __post_init__(self):
         if self.relations.symmetry is not self.symmetry:
             raise ValueError("relation module is in the wrong symmetry class")
-        if self.presentation is not None:
-            gens = [presented_relation(v, w, self.symmetry)
-                    for v, w in self.presentation]
-            if orbit_span(gens, self.symmetry).space != self.relations.space:
-                raise ValueError(
-                    "presentation does not generate the relation module"
-                )
 
     @cached_property
     def _tildes(self) -> dict:
@@ -356,7 +352,7 @@ def rank_search(r: RelationModule, seed: int = 0, trials: int = 200) -> int:
 
 def _presented(symmetry: SymmetryClass,
                pairs: tuple[tuple[GroupVector, GroupVector], ...],
-               name: str) -> QuadraticOperad:
+               name: Optional[str]) -> QuadraticOperad:
     """The operad whose relations are the orbit span of its presentation."""
     gens = [presented_relation(v, w, symmetry) for v, w in pairs]
     return QuadraticOperad(symmetry, orbit_span(gens, symmetry), pairs, name)
@@ -489,8 +485,9 @@ def operad_from_definition(data: dict) -> QuadraticOperad:
 
     Expected keys: `name`, `symmetry` (regular | comm | anticomm),
     `relations` (list of relation strings; comb syntax for the symmetric
-    classes), optional `presentation` (list of {v, w} group-vector strings).
-    A definition of any other shape is a ValueError that names the field.
+    classes), optional `presentation` (list of {v, w} group-vector strings),
+    which must generate the same module as the relations.  A definition of
+    any other shape is a ValueError that names the field.
     """
     if not isinstance(data, dict):
         raise ValueError(
@@ -511,7 +508,7 @@ def operad_from_definition(data: dict) -> QuadraticOperad:
         gens = [parse_relation(s) for s in texts]
     else:
         gens = [parse_comb_relation(s, symmetry) for s in texts]
-    rel = orbit_span(gens, symmetry) if gens else zero_module(symmetry)
+    rel = orbit_span(gens, symmetry)
     entries = data.get("presentation")
     if entries is None:
         entries = []
@@ -529,7 +526,12 @@ def operad_from_definition(data: dict) -> QuadraticOperad:
                 raise ValueError(f"'{field}' has no '{k}'")
         v, w = (_string(entry[k], f"{field}.{k}") for k in "vw")
         pairs.append((parse_group_vector(v), parse_group_vector(w)))
-    return QuadraticOperad(symmetry, rel, tuple(pairs) or None, name)
+    if not pairs:
+        return QuadraticOperad(symmetry, rel, None, name)
+    p = _presented(symmetry, tuple(pairs), name)
+    if p.relations.space != rel.space:
+        raise ValueError("presentation does not generate the relation module")
+    return p
 
 
 def _string(value, field: str) -> str:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from operad_forge import algebra_instances
 from operad_forge.algebra_instances import AlgebraInstance, Violation
-from operad_forge.foundation import full_space
+from operad_forge.foundation import full_space, kernel, span
 from operad_forge.group_module import PERMS, GroupVector
 from operad_forge.operad_calculus import RelationModule
 from operad_forge.tensor_closure import PAIR_KEYS, SWAP, apply_node_swaps
@@ -46,6 +46,11 @@ def example(name):
 def act(sigma, x):
     """sigma applied to a weight-3 element, through `act_vector`."""
     return Weight3Element(x.symmetry, act_vector(x.symmetry, sigma, x.coords))
+
+
+def intersection(s, t):
+    """S ∩ T = (S^⊥ + T^⊥)^⊥."""
+    return kernel(span(kernel(s).basis + kernel(t).basis, s.ambient_dim))
 
 
 def full_module(symmetry):

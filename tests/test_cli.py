@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from operad_forge import cli, tensor_closure
 from operad_forge.cli import run
-from operad_forge.operad_calculus import PRESET_NAMES, regular_presets, tilde
+from operad_forge.operad_calculus import (
+    PRESET_NAMES,
+    dual,
+    regular_presets,
+    tilde,
+)
 
 from conftest import example, example_names
 
@@ -243,6 +248,16 @@ def test_tilde_matches_golden(capsys):
     assert "".join(outs) == (GOLDEN / "tilde_presets.txt").read_text()
 
 
+def test_show_dual_tilde_matches_golden(capsys):
+    """`show NAME --dual --tilde` for every preset at seed 0."""
+    outs = []
+    for name in PRESET_NAMES:
+        code, out, _ = _run(capsys, "show", name, "--dual", "--tilde")
+        assert code == 0, name
+        outs.append(out)
+    assert "".join(outs) == (GOLDEN / "show_dual_tilde.txt").read_text()
+
+
 # Fixture pairs whose tensor products have nonzero structure constants.
 _GOLDEN_TENSORS = [
     ("comm_assoc_2d", "comm_assoc_2d"),
@@ -286,6 +301,19 @@ def test_verify_theorem1_builds_each_tilde_once(capsys, monkeypatch):
     code, out, _ = _run(capsys, "verify", "theorem1", "--preset", "ass")
     assert code == 0 and "verified: true" in out
     assert len(calls) == 1
+
+
+def test_show_dual_tilde_builds_the_dual_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p.name)
+        return dual(p)
+
+    monkeypatch.setattr(cli, "dual", counted)
+    code, out, _ = _run(capsys, "show", "leib", "--dual", "--tilde")
+    assert code == 0 and "tilde equals dual" in out
+    assert calls == ["leib"]
 
 
 def test_companion(capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from operad_forge.foundation import (
     Subspace,
-    combine,
     full_space,
     kernel,
     primitive,
@@ -14,6 +13,8 @@ from operad_forge.foundation import (
     vec,
     zero_vector,
 )
+
+from conftest import intersection
 
 
 def test_vec_coerces_mixed_inputs():
@@ -104,18 +105,12 @@ def test_full_space():
 def test_combine_sum_and_intersection():
     s = span([[1, 0, 0], [0, 1, 0]], 3)
     t = span([[0, 1, 0], [0, 0, 1]], 3)
-    u = combine(s, t, "sum")
-    i = combine(s, t, "intersection")
+    u = span(s.basis + t.basis, 3)
+    i = intersection(s, t)
     assert u == full_space(3)
     assert i == span([[0, 1, 0]], 3)
     # dimension formula
     assert s.dim + t.dim == u.dim + i.dim
-
-
-def test_combine_rejects_unknown_mode():
-    s = span([[1, 0]], 2)
-    with pytest.raises(ValueError):
-        combine(s, s, "xor")
 
 
 def test_span_dimension_mismatch():
@@ -135,7 +130,7 @@ def test_kernel_is_the_orthogonal_complement():
 
 
 def _reference_intersection(s: Subspace, t: Subspace) -> Subspace:
-    """The augmented-RREF intersection that `combine` replaced.
+    """The augmented-RREF intersection that `intersection` replaced.
 
     Row-reduce [reduce_T(b_i) | e_i] over the basis b of S; the rows whose
     residual part vanishes hold the combinations of b that lie in T.
@@ -169,7 +164,7 @@ def test_intersection_matches_augmented_rref_reference():
         common = rows(rng.randint(0, 2))
         s = span(common + rows(rng.randint(0, n // 2 + 1)), n)
         t = span(common + rows(rng.randint(0, n // 2 + 1)), n)
-        got = combine(s, t, "intersection")
+        got = intersection(s, t)
         assert got == _reference_intersection(s, t)
         proper += 0 < got.dim < min(s.dim, t.dim)
     assert proper > 50

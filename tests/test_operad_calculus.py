@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from operad_forge import algebra_instances
-from operad_forge.foundation import combine, full_space, span
+from operad_forge.foundation import full_space, span
 from operad_forge.group_module import (
-    ID,
     PERMS,
     GroupVector,
     IsotypicProfile,
@@ -99,15 +98,6 @@ def test_preset_aliases():
     assert preset("lieadm").relations.space == preset("g6ass").relations.space
     assert preset("p3ass").relations.space == \
         preset("g6p3ass").relations.space
-
-
-def test_unknown_preset():
-    with pytest.raises(ValueError):
-        preset("nope")
-    with pytest.raises(ValueError):
-        preset("g7ass")
-    with pytest.raises(ValueError):
-        preset("leib", 3)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -202,18 +192,17 @@ def test_presented_relation_generates_presets():
         assert orbit_span(gens, p.symmetry).space == p.relations.space
 
 
-def test_presentation_validation_rejects_mismatch():
-    p = preset("leib")
-    bad = ((GroupVector.basis(ID), GroupVector.basis(ID)),)  # presents Ass
-    with pytest.raises(ValueError):
-        QuadraticOperad(REGULAR, p.relations, bad, "broken")
-
-
 def test_definition_whose_presentation_misses_the_relations_is_rejected():
-    with pytest.raises(ValueError, match="does not generate"):
-        operad_from_definition({
-            "symmetry": "regular", "relations": ["(x*y)*z - x*(y*z)"],
-            "presentation": [{"v": "Id", "w": "Id - t12"}]})
+    # Id / Id presents the associator, whose anticommutative projection does
+    # not generate the Jacobi module.
+    for symmetry, relation, v, w in [
+        ("regular", "(x*y)*z - x*(y*z)", "Id", "Id - t12"),
+        ("anticomm", "m1 + m2 + m3", "Id", "Id"),
+    ]:
+        with pytest.raises(ValueError, match="does not generate"):
+            operad_from_definition({
+                "symmetry": symmetry, "relations": [relation],
+                "presentation": [{"v": v, "w": w}]})
 
 
 def _stripped(name: str) -> QuadraticOperad:
@@ -348,6 +337,17 @@ def test_operad_from_definition_with_presentation():
         }
     )
     assert q.presentation == preset("leib").presentation
+    lie = preset("lie")
+    q = operad_from_definition(
+        {
+            "name": "lie",
+            "symmetry": "anticomm",
+            "relations": ["m1 + m2 + m3"],
+            "presentation": [{"v": "Id + c1 + c2", "w": "Id + c1 + c2"}],
+        }
+    )
+    assert q == lie and q.presentation == lie.presentation
+    assert tilde(q) == tilde(lie)
 
 
 def test_operad_from_definition_symmetric():
@@ -503,10 +503,8 @@ def _report_symmetric_modules(symmetry: SymmetryClass):
     pieces = [sp for sp in pieces if sp.dim]
     modules = []
     for mask in range(2 ** len(pieces)):
-        space = span([], symmetry.dim)
-        for i, sp in enumerate(pieces):
-            if mask & (1 << i):
-                space = combine(space, sp, "sum")
+        space = span([b for i, sp in enumerate(pieces) if mask & (1 << i)
+                      for b in sp.basis], symmetry.dim)
         modules.append(RelationModule(symmetry, space))
     return modules
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from operad_forge.foundation import combine, span
+from operad_forge.foundation import span
 from operad_forge.group_module import ID, PERMS
 from operad_forge.operad_calculus import QuadraticOperad, dual, orbit_span, preset
 from operad_forge.relation_dsl import (
@@ -34,6 +34,7 @@ from conftest import (
     act,
     any_symmetry,
     group_vectors,
+    intersection,
     perms,
     rationals,
     reference_act_tensor,
@@ -120,8 +121,8 @@ def _vectors(n):
 def test_sum_and_intersection_dimension_formula(rows_s, rows_t):
     s = span(rows_s, 5)
     t = span(rows_t, 5)
-    total = combine(s, t, "sum")
-    meet = combine(s, t, "intersection")
+    total = span(s.basis + t.basis, 5)
+    meet = intersection(s, t)
     assert s.dim + t.dim == total.dim + meet.dim
     assert s.is_subspace_of(total)
     assert t.is_subspace_of(total)

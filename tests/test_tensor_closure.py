@@ -4,7 +4,7 @@ from functools import cache, partial
 
 import pytest
 
-from operad_forge.foundation import combine, full_space, kernel, span
+from operad_forge.foundation import full_space, kernel, span
 from operad_forge.group_module import PERMS, apply_idempotent
 from operad_forge.operad_calculus import (
     QuadraticOperad,
@@ -447,10 +447,8 @@ def _symmetric_enumeration(symmetry):
     pieces = [sp for sp in pieces if sp.dim]
     modules = []
     for mask in range(2 ** len(pieces)):
-        space = span([], 3)
-        for i, sp in enumerate(pieces):
-            if mask & (1 << i):
-                space = combine(space, sp, "sum")
+        space = span([b for i, sp in enumerate(pieces) if mask & (1 << i)
+                      for b in sp.basis], 3)
         modules.append(RelationModule(symmetry, space))
     return modules
 
