@@ -405,12 +405,16 @@ def search_counterexample(r_a: RelationModule, r_b: RelationModule,
         candidates_b.append(
             _random_nilpotent(rng.randint(2, max_dim), rng, "random")
         )
+    # The catalog fixtures are candidates on both sides; Rel(A) per object.
+    rels: dict[int, RelationModule] = {}
     ids: dict[RelationModule, int] = {}
 
     def accepted(candidates, r):
         out = []
         for alg in candidates:
-            rel = algebra_relations(alg)
+            if id(alg) not in rels:
+                rels[id(alg)] = algebra_relations(alg)
+            rel = rels[id(alg)]
             if _satisfied(alg, rel, r):
                 out.append((alg, ids.setdefault(rel, len(ids))))
         return out

@@ -32,6 +32,7 @@ from .operad_calculus import (
     dual,
     operad_from_definition,
     operads_equal,
+    orbit_span,
     preset,
     presentation_of,
     rank,
@@ -57,6 +58,11 @@ class Section:
     columns: list[str]
     rows: list[list[str]] = field(default_factory=list)
 
+    def add(self, *cells) -> None:
+        """Append a row; a bool prints as true/false, anything else by str."""
+        self.rows.append([str(c).lower() if isinstance(c, bool) else str(c)
+                          for c in cells])
+
 
 @dataclass
 class Report:
@@ -64,6 +70,11 @@ class Report:
     sections: list[Section] = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
     verified: Optional[bool] = None
+
+    def section(self, label: str, columns: list[str]) -> Section:
+        s = Section(label, columns)
+        self.sections.append(s)
+        return s
 
     def to_json(self) -> dict:
         out = {
@@ -86,12 +97,12 @@ class Report:
             lines.append(f"[{s.label}]")
             table = [s.columns] + s.rows
             widths = [
-                max(len(str(row[i])) for row in table)
+                max(len(row[i]) for row in table)
                 for i in range(len(s.columns))
             ]
             for n, row in enumerate(table):
                 lines.append(
-                    "  ".join(str(c).ljust(w) for c, w in zip(row, widths))
+                    "  ".join(c.ljust(w) for c, w in zip(row, widths))
                     .rstrip()
                 )
                 if n == 0:
@@ -136,28 +147,14 @@ def _load_instance(path: str) -> AlgebraInstance:
     return AlgebraInstance.from_json(data, name=os.path.basename(path))
 
 
-# ---------------------------------------------------------------------------
-# Sections shared by several commands.
+def _relations(report: Report, label: str, module: RelationModule) -> None:
+    s = report.section(label, ["basis relation"])
+    for x in module.basis_elements():
+        s.add(format_weight3(x))
 
 
-def _relation_rows(rel: RelationModule) -> list[list[str]]:
-    return [[format_weight3(x)] for x in rel.basis_elements()]
-
-
-def _operad_section(p: QuadraticOperad) -> Section:
-    s = Section("operad", ["field", "value"])
-    s.rows.append(["name", p.name or "(unnamed)"])
-    s.rows.append(["symmetry", p.symmetry.value])
-    s.rows.append(["relation dimension", str(p.relations.dim)])
-    s.rows.append(["rank", str(rank(p.relations))])
-    return s
-
-
-def _presentation_section(p: QuadraticOperad, seed: int) -> Section:
-    s = Section("presentation", ["v (left part)", "w (right part)"])
-    for v, w in presentation_of(p, seed=seed):
-        s.rows.append([format_group_vector(v), format_group_vector(w)])
-    return s
+# The subgroup variants G_i-ass, i = 1..6.
+_GI_ASS = [f"g{i}ass" for i in range(1, 7)]
 
 
 # ---------------------------------------------------------------------------
@@ -167,136 +164,109 @@ def _presentation_section(p: QuadraticOperad, seed: int) -> Section:
 def _cmd_show(args) -> int:
     p = _load_operad(args.operad)
     seed = args.seed
-    report = Report(f"operad {p.name or args.operad}")
-    report.provenance = {"seed": seed, "input": args.operad}
-    report.sections.append(_operad_section(p))
-    rel = Section("relations", ["basis relation"])
-    rel.rows = _relation_rows(p.relations)
-    report.sections.append(rel)
-    report.sections.append(_presentation_section(p, seed))
+    report = Report(f"operad {p.name or args.operad}",
+                    provenance={"seed": seed, "input": args.operad})
+    s = report.section("operad", ["field", "value"])
+    s.add("name", p.name or "(unnamed)")
+    s.add("symmetry", p.symmetry.value)
+    s.add("relation dimension", p.relations.dim)
+    s.add("rank", rank(p.relations))
+    _relations(report, "relations", p.relations)
+    s = report.section("presentation", ["v (left part)", "w (right part)"])
+    for v, w in presentation_of(p, seed=seed):
+        s.add(format_group_vector(v), format_group_vector(w))
     if args.rank:
-        s = Section("rank", ["module", "rank"])
-        s.rows.append(["relations", str(rank(p.relations))])
-        report.sections.append(s)
+        report.section("rank", ["module", "rank"]).add(
+            "relations", rank(p.relations))
     if args.isotypic:
         prof = p.relations.isotypic()
-        s = Section("isotypic", ["trivial", "sign", "standard"])
-        s.rows.append([str(prof.m_triv), str(prof.m_sgn), str(prof.m_std)])
-        report.sections.append(s)
+        report.section("isotypic", ["trivial", "sign", "standard"]).add(
+            prof.m_triv, prof.m_sgn, prof.m_std)
     if args.orbits:
-        s = Section("orbits", ["basis relation", "orbit dimension"])
-        from .operad_calculus import orbit_span
-
+        s = report.section("orbits", ["basis relation", "orbit dimension"])
         for x in p.relations.basis_elements():
-            s.rows.append(
-                [format_weight3(x), str(orbit_span([x]).dim)]
-            )
-        report.sections.append(s)
+            s.add(format_weight3(x), orbit_span([x]).dim)
     if args.dual or args.tilde:
         d = dual(p)
     if args.dual:
-        s = Section("dual", ["basis relation"])
-        s.rows = _relation_rows(d.relations)
-        report.sections.append(s)
-        cmp_sec = Section("dual comparison", ["field", "value"])
-        cmp_sec.rows.append(["dual symmetry", d.symmetry.value])
-        cmp_sec.rows.append(["dual dimension", str(d.relations.dim)])
-        same = operads_equal(d, p)
-        cmp_sec.rows.append(["equals relations", str(same).lower()])
-        report.sections.append(cmp_sec)
+        _relations(report, "dual", d.relations)
+        s = report.section("dual comparison", ["field", "value"])
+        s.add("dual symmetry", d.symmetry.value)
+        s.add("dual dimension", d.relations.dim)
+        s.add("equals relations", operads_equal(d, p))
     if args.tilde:
         t = tilde(p, seed=seed)
-        s = Section("tilde", ["basis relation"])
-        s.rows = _relation_rows(t.relations)
-        report.sections.append(s)
-        cmp_sec = Section("tilde comparison", ["field", "value"])
-        cmp_sec.rows.append(["tilde symmetry", t.symmetry.value])
-        cmp_sec.rows.append(["tilde dimension", str(t.relations.dim)])
-        same = operads_equal(d, t)
-        cmp_sec.rows.append(["tilde equals dual", str(same).lower()])
-        report.sections.append(cmp_sec)
+        _relations(report, "tilde", t.relations)
+        s = report.section("tilde comparison", ["field", "value"])
+        s.add("tilde symmetry", t.symmetry.value)
+        s.add("tilde dimension", t.relations.dim)
+        s.add("tilde equals dual", operads_equal(d, t))
     return _emit(report, args.json)
 
 
-def _theorem1_names() -> list[str]:
-    return regular_presets() + ["lie", "com"]
+def _cmd_theorem1(args) -> int:
+    names = [args.preset] if args.preset else regular_presets() + [
+        "lie", "com"]
+    report = Report("theorem1 verification", provenance={"seed": args.seed})
+    s = report.section("closure", ["preset", "tilde dimension", "closed"])
+    ok_all = True
+    for name in names:
+        p = _load_operad(name)
+        t = tilde(p, seed=args.seed)
+        ok, _ = lift_closure(p, t.relations)
+        s.add(name, t.relations.dim, ok)
+        ok_all = ok_all and ok
+    report.verified = ok_all
+    return _emit(report, args.json)
 
 
-def _cmd_verify(args) -> int:
-    seed = args.seed
-    if args.what == "theorem1":
-        names = [args.preset] if args.preset else _theorem1_names()
-        report = Report("theorem1 verification")
-        s = Section("closure", ["preset", "tilde dimension", "closed"])
-        ok_all = True
-        for name in names:
-            p = _load_operad(name)
-            t = tilde(p, seed=seed)
-            ok, _ = lift_closure(p, t.relations)
-            s.rows.append([name, str(t.relations.dim), str(ok).lower()])
-            ok_all = ok_all and ok
-        report.sections.append(s)
-        report.verified = ok_all
-    elif args.what == "bracket-lie":
-        names = [args.preset] if args.preset else [
-            f"g{i}ass" for i in range(1, 7)
-        ]
-        report = Report("bracket verification")
-        s = Section("bracket", ["preset", "dual dimension", "lie"])
-        ok_all = True
-        for name in names:
-            p = _load_operad(name)
-            d = dual(p)
-            ok = bracket_is_lie(p.relations, d.relations)
-            s.rows.append([name, str(d.relations.dim), str(ok).lower()])
-            ok_all = ok_all and ok
-        report.sections.append(s)
-        report.verified = ok_all
-    elif args.what == "twisted-poisson":
-        report = Report("twisted tensor product verification")
-        ok, _ = twisted_poisson_check()
-        poiss = preset("poiss")
-        lit_ok, _ = closure_holds(
-            poiss.relations, poiss.relations,
-            MixedProduct.poisson_twist_literal(),
-            poiss.relations.basis_elements(),
-        )
-        s = Section("twist", ["product", "closed"])
-        s.rows.append(["corrected twist (3, 1, 1, -1)", str(ok).lower()])
-        s.rows.append(
-            ["sign-flipped control (3, -1, -1, 1)", str(lit_ok).lower()]
-        )
-        report.sections.append(s)
-        report.verified = ok and not lit_ok
-    elif args.what == "negative":
-        p = _load_operad(args.p)
-        q = _load_operad(args.q)
-        # Lifts decide closure only against a comm --q (see lift_closure).
-        if p.symmetry is not REGULAR and q.symmetry is not COMMUTATIVE:
-            raise ValueError(
-                f"--p of class {p.symmetry.value} is checked only against "
-                f"--q of class comm, got {q.symmetry.value}")
-        basis = p.relations.basis_elements()
-        ok, certs = lift_closure(p, q.relations)
-        report = Report("non-closure verification")
-        s = Section(
-            "residuals", ["target relation", "absorbed", "certificate"]
-        )
-        for x, cert in zip(basis, certs):
-            s.rows.append(
-                [
-                    format_weight3(x),
-                    str(cert.holds).lower(),
-                    cert.describe(),
-                ]
-            )
-        report.sections.append(s)
-        report.provenance = {"p": args.p, "q": args.q}
-        # Verified means the non-closure claim holds: some relation leaks.
-        report.verified = not ok
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(args.what)
-    report.provenance.setdefault("seed", seed)
+def _cmd_bracket_lie(args) -> int:
+    names = [args.preset] if args.preset else _GI_ASS
+    report = Report("bracket verification", provenance={"seed": args.seed})
+    s = report.section("bracket", ["preset", "dual dimension", "lie"])
+    ok_all = True
+    for name in names:
+        p = _load_operad(name)
+        d = dual(p)
+        ok = bracket_is_lie(p.relations, d.relations)
+        s.add(name, d.relations.dim, ok)
+        ok_all = ok_all and ok
+    report.verified = ok_all
+    return _emit(report, args.json)
+
+
+def _cmd_twisted_poisson(args) -> int:
+    ok, _ = twisted_poisson_check()
+    poiss = preset("poiss")
+    lit_ok, _ = closure_holds(
+        poiss.relations, poiss.relations,
+        MixedProduct.poisson_twist_literal(),
+        poiss.relations.basis_elements(),
+    )
+    report = Report("twisted tensor product verification",
+                    provenance={"seed": args.seed}, verified=ok and not lit_ok)
+    s = report.section("twist", ["product", "closed"])
+    s.add("corrected twist (3, 1, 1, -1)", ok)
+    s.add("sign-flipped control (3, -1, -1, 1)", lit_ok)
+    return _emit(report, args.json)
+
+
+def _cmd_negative(args) -> int:
+    p = _load_operad(args.p)
+    q = _load_operad(args.q)
+    # Lifts decide closure only against a comm --q (see lift_closure).
+    if p.symmetry is not REGULAR and q.symmetry is not COMMUTATIVE:
+        raise ValueError(
+            f"--p of class {p.symmetry.value} is checked only against "
+            f"--q of class comm, got {q.symmetry.value}")
+    ok, certs = lift_closure(p, q.relations)
+    # Verified means the non-closure claim holds: some relation leaks.
+    report = Report("non-closure verification", verified=not ok,
+                    provenance={"p": args.p, "q": args.q, "seed": args.seed})
+    s = report.section(
+        "residuals", ["target relation", "absorbed", "certificate"])
+    for x, cert in zip(p.relations.basis_elements(), certs):
+        s.add(format_weight3(x), cert.holds, cert.describe())
     return _emit(report, args.json)
 
 
@@ -304,92 +274,77 @@ def _cmd_companion(args) -> int:
     p = _load_operad(args.operad)
     if p.symmetry is not REGULAR:
         raise ValueError("companion is computed for regular presets only")
-    seed = args.seed
     comp = minimal_companion(p)
-    t = tilde(p, seed=seed)
+    t = tilde(p, seed=args.seed)
     contained = comp.space.is_subspace_of(t.relations.space)
     ok, _ = closure_holds(
         p.relations, comp, MixedProduct.identity(),
         p.relations.basis_elements(),
     )
-    report = Report(f"minimal companion of {p.name or args.operad}")
-    s = Section("companion relations", ["basis relation"])
-    s.rows = _relation_rows(comp)
-    report.sections.append(s)
-    facts = Section("facts", ["field", "value"])
-    facts.rows.append(["companion dimension", str(comp.dim)])
-    facts.rows.append(["tilde dimension", str(t.relations.dim)])
-    facts.rows.append(["contained in tilde", str(contained).lower()])
-    facts.rows.append(["closure with companion", str(ok).lower()])
-    report.sections.append(facts)
-    report.provenance = {"seed": seed}
-    report.verified = contained and ok
+    report = Report(f"minimal companion of {p.name or args.operad}",
+                    provenance={"seed": args.seed}, verified=contained and ok)
+    _relations(report, "companion relations", comp)
+    s = report.section("facts", ["field", "value"])
+    s.add("companion dimension", comp.dim)
+    s.add("tilde dimension", t.relations.dim)
+    s.add("contained in tilde", contained)
+    s.add("closure with companion", ok)
     return _emit(report, args.json)
 
 
-def _cmd_instance(args) -> int:
-    if args.what == "check":
-        alg = _load_instance(args.file)
-        p = _load_operad(args.operad)
-        report = Report(f"instance check against {args.operad}")
-        s = Section("violations", ["description"])
-        try:
-            bad = check_relations(alg, p.relations)
-        except ValueError as exc:
-            s.rows.append([str(exc)])
-            bad = [exc]
-        else:
-            for v in bad[:20]:
-                s.rows.append([str(v)])
-        report.sections.append(s)
-        facts = Section("facts", ["field", "value"])
-        facts.rows.append(["instance dimension", str(alg.dim)])
-        facts.rows.append(["violations", str(len(bad))])
-        report.sections.append(facts)
-        report.verified = not bad
-        return _emit(report, args.json)
-    if args.what == "tensor":
-        a = _load_instance(args.file_a)
-        b = _load_instance(args.file_b)
-        product = (
-            MixedProduct.poisson_twist()
-            if args.twist == "poisson"
-            else MixedProduct.identity()
-        )
-        t = tensor_instance(a, b, product)
-        print(json.dumps(t.to_json(), indent=2, sort_keys=True))
-        return 0
-    raise AssertionError(args.what)  # pragma: no cover
+def _cmd_instance_check(args) -> int:
+    alg = _load_instance(args.file)
+    p = _load_operad(args.operad)
+    report = Report(f"instance check against {args.operad}")
+    s = report.section("violations", ["description"])
+    try:
+        bad = check_relations(alg, p.relations)
+    except ValueError as exc:
+        s.add(exc)
+        bad = [exc]
+    else:
+        for v in bad[:20]:
+            s.add(v)
+    s = report.section("facts", ["field", "value"])
+    s.add("instance dimension", alg.dim)
+    s.add("violations", len(bad))
+    report.verified = not bad
+    return _emit(report, args.json)
+
+
+def _cmd_instance_tensor(args) -> int:
+    a = _load_instance(args.file_a)
+    b = _load_instance(args.file_b)
+    product = (
+        MixedProduct.poisson_twist()
+        if args.twist == "poisson"
+        else MixedProduct.identity()
+    )
+    t = tensor_instance(a, b, product)
+    print(json.dumps(t.to_json(), indent=2, sort_keys=True))
+    return 0
 
 
 def _cmd_search(args) -> int:
     p = _load_operad(args.p)
     q = _load_operad(args.q)
-    targets = p.relations.basis_elements()
     found = search_counterexample(
-        p.relations, q.relations, targets,
+        p.relations, q.relations, p.relations.basis_elements(),
         max_dim=args.max_dim, seed=args.seed,
     )
-    report = Report("counterexample search")
-    report.provenance = {
-        "p": args.p, "q": args.q, "max_dim": args.max_dim,
-        "seed": args.seed,
-    }
-    s = Section("result", ["field", "value"])
+    report = Report("counterexample search", verified=found is not None,
+                    provenance={"p": args.p, "q": args.q,
+                                "max_dim": args.max_dim, "seed": args.seed})
+    s = report.section("result", ["field", "value"])
     if found is None:
-        s.rows.append(["witness", "none found within budget"])
-        report.sections.append(s)
-        report.verified = False
+        s.add("witness", "none found within budget")
     else:
-        s.rows.append(["left instance", found.left.name or "random"])
-        s.rows.append(["left structure",
-                       json.dumps(found.left.to_json()["structure"])])
-        s.rows.append(["right instance", found.right.name or "random"])
-        s.rows.append(["right structure",
-                       json.dumps(found.right.to_json()["structure"])])
-        s.rows.append(["violating triple", str(found.violation.triple)])
-        report.sections.append(s)
-        report.verified = True
+        s.add("left instance", found.left.name or "random")
+        s.add("left structure", json.dumps(found.left.to_json()["structure"]))
+        s.add("right instance", found.right.name or "random")
+        s.add("right structure",
+              json.dumps(found.right.to_json()["structure"]))
+        s.add("violating triple", found.violation.triple)
     return _emit(report, args.json)
 
 
@@ -412,30 +367,67 @@ _FAMILY_SWEEP = (
 )
 
 
-def _family_sweep_section(seed: int) -> Section:
-    s = Section(
+def _subgroup_section(report: Report, seed: int) -> None:
+    s = report.section(
+        "subgroup variants",
+        ["preset", "dim", "rank", "dual dim", "dual rank", "tilde = dual"],
+    )
+    for name in _GI_ASS + [f"g{i}p3ass" for i in range(1, 7)]:
+        p = preset(name)
+        d = dual(p)
+        t = tilde(p, seed=seed)
+        s.add(name, p.relations.dim, rank(p.relations), d.relations.dim,
+              rank(d.relations), t.relations.space == d.relations.space)
+
+
+def _named_section(report: Report, seed: int) -> None:
+    s = report.section("named operads", ["preset", "symmetry", "dim", "rank",
+                                         "tilde symmetry", "tilde dim"])
+    for name in ("comm3", "leib", "zinb", "poiss", "lie", "com"):
+        p = preset(name)
+        t = tilde(p, seed=seed)
+        s.add(name, p.symmetry.value, p.relations.dim, rank(p.relations),
+              t.symmetry.value, t.relations.dim)
+
+
+def _family_sweep_section(report: Report, seed: int) -> None:
+    s = report.section(
         "lie-admissible family sweep",
         ["entry", "dim", "subgroup variant", "tilde = dual",
          "tilde = dual(lieadm)"],
     )
-    comm3 = preset("comm3").relations.space
-    entries = [preset(f"g{i}ass") for i in range(1, 7)]
+    lieadm_dual = dual(preset("lieadm")).relations.space
+    entries = [preset(name) for name in _GI_ASS]
     # Filled from g6 down, so the first variant with a given module wins.
     variant = {p.relations.space: p.name for p in reversed(entries)}
     entries += [preset(*spec) for spec in _FAMILY_SWEEP]
     for p in entries:
         t = tilde(p, seed=seed)
         d = dual(p)
-        s.rows.append(
-            [
-                p.name,
-                str(p.relations.dim),
-                variant.get(p.relations.space, "-"),
-                str(t.relations.space == d.relations.space).lower(),
-                str(t.relations.space == comm3).lower(),
-            ]
-        )
-    return s
+        s.add(p.name, p.relations.dim, variant.get(p.relations.space, "-"),
+              t.relations.space == d.relations.space,
+              t.relations.space == lieadm_dual)
+
+
+def _stability_section(report: Report, seed: int) -> None:
+    """Compare tilde across several valid presentations of each module.
+
+    tilde is defined from a presentation, not from the relation module
+    alone; this probe reports (without asserting) how stable it is when
+    the presentation is re-derived from fresh random generators.
+    """
+    s = report.section(
+        "tilde stability probe",
+        ["preset", "stored tilde dim", "probe dims (seeds +1..+3)",
+         "all equal stored"],
+    )
+    for name in ("g1ass", "g3ass", "g6ass", "leib", "zinb", "poiss"):
+        p = preset(name)
+        t0 = tilde(p, seed=seed)
+        stripped = QuadraticOperad(p.symmetry, p.relations, None, p.name)
+        probes = [tilde(stripped, seed=seed + k).relations for k in (1, 2, 3)]
+        s.add(name, t0.relations.dim, " ".join(str(r.dim) for r in probes),
+              all(r.space == t0.relations.space for r in probes))
 
 
 def _known_symmetric_label(p: QuadraticOperad,
@@ -450,8 +442,8 @@ def _known_symmetric_label(p: QuadraticOperad,
     return "-"
 
 
-def _symmetric_enumeration_section(seed: int) -> Section:
-    s = Section(
+def _symmetric_enumeration_section(report: Report, seed: int) -> None:
+    s = report.section(
         "symmetric-class submodule enumeration",
         ["class", "pieces", "dim", "known", "tilde dim",
          "dual class", "dual dim", "tilde = dual"],
@@ -477,98 +469,18 @@ def _symmetric_enumeration_section(seed: int) -> Section:
             p = QuadraticOperad(symmetry, module)
             t = tilde(p, seed=seed)
             d = dual(p)
-            s.rows.append(
-                [
-                    symmetry.value,
-                    label,
-                    str(module.dim),
-                    _known_symmetric_label(p, known),
-                    str(t.relations.dim),
-                    d.symmetry.value,
-                    str(d.relations.dim),
-                    (str(operads_equal(d, t)).lower()
-                     if d.symmetry is t.symmetry else "n/a"),
-                ]
-            )
-    return s
-
-
-def _stability_section(seed: int) -> Section:
-    """Compare tilde across several valid presentations of each module.
-
-    tilde is defined from a presentation, not from the relation module
-    alone; this probe reports (without asserting) how stable it is when
-    the presentation is re-derived from fresh random generators.
-    """
-    s = Section(
-        "tilde stability probe",
-        ["preset", "stored tilde dim", "probe dims (seeds +1..+3)",
-         "all equal stored"],
-    )
-    for name in ("g1ass", "g3ass", "g6ass", "leib", "zinb", "poiss"):
-        p = preset(name)
-        t0 = tilde(p, seed=seed)
-        stripped = QuadraticOperad(p.symmetry, p.relations, None, p.name)
-        dims = []
-        same = True
-        for k in (1, 2, 3):
-            t = tilde(stripped, seed=seed + k)
-            dims.append(str(t.relations.dim))
-            same = same and t.relations.space == t0.relations.space
-        s.rows.append(
-            [name, str(t0.relations.dim), " ".join(dims),
-             str(same).lower()]
-        )
-    return s
+            s.add(symmetry.value, label, module.dim,
+                  _known_symmetric_label(p, known), t.relations.dim,
+                  d.symmetry.value, d.relations.dim,
+                  operads_equal(d, t) if d.symmetry is t.symmetry else "n/a")
 
 
 def _cmd_report(args) -> int:
-    seed = args.seed
-    report = Report("reference tables")
-    report.provenance = {"seed": seed, "schema_version": SCHEMA_VERSION}
-
-    s = Section(
-        "subgroup variants",
-        ["preset", "dim", "rank", "dual dim", "dual rank", "tilde = dual"],
-    )
-    for name in [f"g{i}ass" for i in range(1, 7)] + [
-        f"g{i}p3ass" for i in range(1, 7)
-    ]:
-        p = preset(name)
-        d = dual(p)
-        t = tilde(p, seed=seed)
-        s.rows.append(
-            [
-                name,
-                str(p.relations.dim),
-                str(rank(p.relations)),
-                str(d.relations.dim),
-                str(rank(d.relations)),
-                str(t.relations.space == d.relations.space).lower(),
-            ]
-        )
-    report.sections.append(s)
-
-    s = Section("named operads", ["preset", "symmetry", "dim", "rank",
-                                  "tilde symmetry", "tilde dim"])
-    for name in ("comm3", "leib", "zinb", "poiss", "lie", "com"):
-        p = preset(name)
-        t = tilde(p, seed=seed)
-        s.rows.append(
-            [
-                name,
-                p.symmetry.value,
-                str(p.relations.dim),
-                str(rank(p.relations)),
-                t.symmetry.value,
-                str(t.relations.dim),
-            ]
-        )
-    report.sections.append(s)
-
-    report.sections.append(_family_sweep_section(seed))
-    report.sections.append(_stability_section(seed))
-    report.sections.append(_symmetric_enumeration_section(seed))
+    report = Report("reference tables", provenance={
+        "seed": args.seed, "schema_version": SCHEMA_VERSION})
+    for build in (_subgroup_section, _named_section, _family_sweep_section,
+                  _stability_section, _symmetric_enumeration_section):
+        build(report, args.seed)
     return _emit(report, args.json)
 
 
@@ -629,13 +541,16 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all-presets", action="store_true",
                        help="check the default set; the same as giving "
                        "no --preset")
+    v_t1.set_defaults(func=_cmd_theorem1)
     v_bl = v_sub.add_parser("bracket-lie", parents=[common])
     v_bl.add_argument("--preset")
-    v_sub.add_parser("twisted-poisson", parents=[common])
+    v_bl.set_defaults(func=_cmd_bracket_lie)
+    v_sub.add_parser("twisted-poisson", parents=[common]).set_defaults(
+        func=_cmd_twisted_poisson)
     v_neg = v_sub.add_parser("negative", parents=[common])
     v_neg.add_argument("--p", required=True)
     v_neg.add_argument("--q", required=True)
-    p_verify.set_defaults(func=_cmd_verify)
+    v_neg.set_defaults(func=_cmd_negative)
 
     p_comp = sub.add_parser("companion", help="minimal companion module",
                             parents=[common])
@@ -647,11 +562,12 @@ def _build_parser() -> argparse.ArgumentParser:
     i_check = i_sub.add_parser("check", parents=[common])
     i_check.add_argument("file")
     i_check.add_argument("--operad", required=True)
+    i_check.set_defaults(func=_cmd_instance_check)
     i_tensor = i_sub.add_parser("tensor", parents=[common])
     i_tensor.add_argument("file_a")
     i_tensor.add_argument("file_b")
     i_tensor.add_argument("--twist", choices=["poisson"])
-    p_inst.set_defaults(func=_cmd_instance)
+    i_tensor.set_defaults(func=_cmd_instance_tensor)
 
     p_search = sub.add_parser("search", help="search for counterexamples")
     s_sub = p_search.add_subparsers(dest="what", required=True)
@@ -659,12 +575,12 @@ def _build_parser() -> argparse.ArgumentParser:
     s_cx.add_argument("--p", required=True)
     s_cx.add_argument("--q", required=True)
     s_cx.add_argument("--max-dim", type=int, default=4)
-    p_search.set_defaults(func=_cmd_search)
+    s_cx.set_defaults(func=_cmd_search)
 
     p_report = sub.add_parser("report", help="reference tables")
     r_sub = p_report.add_subparsers(dest="what", required=True)
-    r_sub.add_parser("paper-tables", parents=[common])
-    p_report.set_defaults(func=_cmd_report)
+    r_sub.add_parser("paper-tables", parents=[common]).set_defaults(
+        func=_cmd_report)
 
     return parser
 

@@ -268,6 +268,22 @@ def test_search_counterexample_finds_leibniz_witness():
     assert found.violation.triple == again.violation.triple
 
 
+def test_search_computes_each_candidates_relations_once(monkeypatch):
+    # The catalog fixtures are candidates on both sides; at max_dim 3 and
+    # budget 1 that is 8 fixtures and one random candidate per side.
+    calls = []
+
+    def counted(alg):
+        calls.append(alg)
+        return algebra_relations(alg)
+
+    monkeypatch.setattr(algebra_instances, "algebra_relations", counted)
+    leib = preset("leib").relations
+    search_counterexample(leib, preset("zinb").relations,
+                          leib.basis_elements(), max_dim=3, seed=0, budget=1)
+    assert len(calls) == len({id(alg) for alg in calls}) == 10
+
+
 def test_search_counterexample_zero_targets():
     assert search_counterexample(
         preset("leib").relations, preset("zinb").relations, [],

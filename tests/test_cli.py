@@ -258,6 +258,44 @@ def test_show_dual_tilde_matches_golden(capsys):
     assert "".join(outs) == (GOLDEN / "show_dual_tilde.txt").read_text()
 
 
+def test_show_flags_match_golden(capsys):
+    """`show NAME --rank --isotypic --orbits` for every preset at seed 0."""
+    outs = []
+    for name in PRESET_NAMES:
+        code, out, _ = _run(capsys, "show", name, "--rank", "--isotypic",
+                            "--orbits")
+        assert code == 0, name
+        outs.append(out)
+    assert "".join(outs) == (GOLDEN / "show_flags.txt").read_text()
+
+
+# One run of each subcommand, with the exit code it must return.
+_GOLDEN_JSON = [
+    (("report", "paper-tables"), 0),
+    (("verify", "theorem1", "--all-presets"), 0),
+    (("verify", "bracket-lie"), 0),
+    (("verify", "twisted-poisson"), 0),
+    (("verify", "negative", "--p", "leib", "--q", "zinb"), 0),
+    (("companion", "leib"), 0),
+    (("show", "leib", "--rank", "--isotypic", "--orbits", "--dual",
+      "--tilde"), 0),
+    (("instance", "check", "tests/golden/instances/leibniz_3d.json",
+      "--operad", "zinb"), 1),
+    (("search", "counterexample", "--p", "leib", "--q", "zinb",
+      "--max-dim", "3"), 0),
+]
+
+
+def test_json_output_matches_golden(capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN.parent.parent)
+    outs = []
+    for argv, expected in _GOLDEN_JSON:
+        code, out, err = _run(capsys, *argv, "--json")
+        assert (code, err) == (expected, ""), argv
+        outs.append(out)
+    assert "".join(outs) == (GOLDEN / "cli_json.txt").read_text()
+
+
 # Fixture pairs whose tensor products have nonzero structure constants.
 _GOLDEN_TENSORS = [
     ("comm_assoc_2d", "comm_assoc_2d"),
