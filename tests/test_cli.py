@@ -279,15 +279,14 @@ _GOLDEN_JSON = [
     (("companion", "leib"), 0),
     (("show", "leib", "--rank", "--isotypic", "--orbits", "--dual",
       "--tilde"), 0),
-    (("instance", "check", "tests/golden/instances/leibniz_3d.json",
+    (("instance", "check", str(GOLDEN / "instances" / "leibniz_3d.json"),
       "--operad", "zinb"), 1),
     (("search", "counterexample", "--p", "leib", "--q", "zinb",
       "--max-dim", "3"), 0),
 ]
 
 
-def test_json_output_matches_golden(capsys, monkeypatch):
-    monkeypatch.chdir(GOLDEN.parent.parent)
+def test_json_output_matches_golden(capsys):
     outs = []
     for argv, expected in _GOLDEN_JSON:
         code, out, err = _run(capsys, *argv, "--json")
