@@ -473,13 +473,6 @@ def preset(name: str, *params) -> QuadraticOperad:
     return _PRESETS[name]()
 
 
-_SYMMETRY_NAMES = {
-    "regular": REGULAR,
-    "comm": COMMUTATIVE,
-    "anticomm": ANTICOMMUTATIVE,
-}
-
-
 def operad_from_definition(data: dict) -> QuadraticOperad:
     """Build an operad from a definition mapping.
 
@@ -496,9 +489,11 @@ def operad_from_definition(data: dict) -> QuadraticOperad:
     if name is not None:
         _string(name, "name")
     sym_name = data.get("symmetry", "regular")
-    if not isinstance(sym_name, str) or sym_name not in _SYMMETRY_NAMES:
-        raise ValueError(f"unknown symmetry class: {sym_name!r}")
-    symmetry = _SYMMETRY_NAMES[sym_name]
+    try:  # only a string names a class, not a member or another type
+        symmetry = SymmetryClass(
+            sym_name if isinstance(sym_name, str) else None)
+    except ValueError:
+        raise ValueError(f"unknown symmetry class: {sym_name!r}") from None
     texts = data.get("relations", [])
     if not isinstance(texts, list):
         raise ValueError("'relations' must be a list of strings, "

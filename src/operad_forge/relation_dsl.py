@@ -2,7 +2,7 @@
 
 Grammar (whitespace-insensitive)::
 
-    relation  := '0' | ['-'] term (('+'|'-') term)*
+    relation  := '0' | ['-'|'+'] term (('+'|'-') term)*
     term      := [rational '*'] monomial
     monomial  := '(' var '*' var ')' '*' var
                | var '*' '(' var '*' var ')'
@@ -10,16 +10,19 @@ Grammar (whitespace-insensitive)::
                | 'm1' | 'm2' | 'm3'              (comb syntax only)
     rational  := integer ['/' positive-integer]
 
+Numbers are runs of the ASCII digits 0-9, and a word starts with a letter.
 Variables are x,y,z or x1,x2,x3, mapped to the leaf labels 1,2,3.  The
 associator shorthand A(a,b,c) expands to (a*b)*c - a*(b*c).  Group vectors
-use the permutation names Id, t12, t13, t23, c1, c2.
+use the permutation names Id, t12, t13, t23, c1, c2.  A text that does not
+parse raises ParseError, naming the line and column where it fails.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 
+from .foundation import ZERO
 from .group_module import PERM_BY_NAME, PERM_NAMES, PERMS, GroupVector
 from .weight_spaces import (
     COMB_NAMES,
@@ -29,7 +32,6 @@ from .weight_spaces import (
     RIGHT,
     SymmetryClass,
     Weight3Element,
-    comb_in,
 )
 
 
@@ -42,236 +44,177 @@ class ParseError(ValueError):
 
 VAR_LABELS = {"x": 1, "y": 2, "z": 3, "x1": 1, "x2": 2, "x3": 3}
 
-
-@dataclass
-class _Token:
-    kind: str  # 'num', 'name', 'punct', 'end'
-    text: str
-    line: int
-    column: int
+# One match per token, or per newline or run of other whitespace (no group);
+# `bad` is any other character.
+_TOKEN = re.compile(r"(?P<newline>\n)|[^\S\n]+|(?P<num>[0-9]+)|(?P<name>\w+)"
+                    r"|(?P<punct>[-+*/(),])|(?P<bad>.)", re.DOTALL)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/(),":
-            tokens.append(_Token("punct", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """The (kind, text, line, column) tokens of text, then an 'end' token."""
+    tokens, line, line_start = [], 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, word = match.lastgroup, match[0]
+        column = match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "bad" or kind == "name" and not word[0].isalpha():
+            raise ParseError(f"unexpected character {word[0]!r}", line, column)
+        elif kind:
+            tokens.append((kind, word, line, column))
+    tokens.append(("end", "", line, len(text) - line_start + 1))
     return tokens
 
 
+# The monomial forms as token patterns: "V" reads a variable, and any other
+# entry must be the token itself.  A form is the signed sum of its shapes
+# over the variables read; a comb monomial is its own shape.
+_TREE_FORMS = (
+    (("(", "V", "*", "V", ")", "*", "V"), ((1, LEFT),)),
+    (("V", "*", "(", "V", "*", "V", ")"), ((1, RIGHT),)),
+    (("A", "(", "V", ",", "V", ",", "V", ")"), ((1, LEFT), (-1, RIGHT))),
+)
+_COMB_FORMS = tuple(((name,), ((1, name),)) for name in COMB_NAMES)
+# Each syntax's forms by first token, and coordinates by (shape, variables).
+_FORMS = {
+    syntax: {first: (pattern, shapes) for pattern, shapes in forms
+             for first in (VAR_LABELS if pattern[0] == "V" else [pattern[0]])}
+    for syntax, forms in [("tree", _TREE_FORMS),
+                          ("comb", _TREE_FORMS + _COMB_FORMS)]
+}
+_COORDINATE = {
+    "tree": {(m.shape, m.labels): m.index for m in MONOMIALS},
+    "comb": {(name, ()): p for p, name in enumerate(COMB_NAMES)},
+}
+_SIGNS = {"+": 1, "-": -1}
+
+
 class _Parser:
+    """A cursor over the tokens of one text."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.tokens[self.pos][1]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
+
+    def next(self) -> str:
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1][1]
 
-    def error(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.column)
+    def error(self, message: str, pos: int | None = None):
+        _, _, line, column = self.tokens[self.pos if pos is None else pos]
+        raise ParseError(message, line, column)
 
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.text != text:
-            self.error(f"expected {text!r}, found {tok.text!r}")
-        return self.next()
+    def expect(self, text: str, message: str | None = None):
+        if self.peek() != text:
+            self.error(message or f"expected {text!r}, found {self.peek()!r}")
+        self.pos += 1
 
-    def at_end(self) -> bool:
-        return self.peek().kind == "end"
+    def lookup(self, table: dict, what: str):
+        """table[next token], or an error naming it as an unknown `what`."""
+        if self.peek() not in table:
+            self.error(f"unknown {what} {self.peek()!r}")
+        return table[self.next()]
 
-    # -- shared pieces ------------------------------------------------------
+    def sign(self) -> int | None:
+        """Read a '+' or '-' as 1 or -1; None if the next token is neither."""
+        return _SIGNS[self.next()] if self.peek() in _SIGNS else None
+
+    def number(self) -> int:
+        """The value of the number token at the cursor."""
+        try:
+            return int(self.peek())
+        except ValueError:  # more digits than int() converts
+            self.error(f"number too long ({len(self.peek())} digits)")
 
     def rational(self) -> Fraction:
-        tok = self.peek()
-        if tok.kind != "num":
-            self.error(f"expected a number, found {tok.text!r}")
-        self.next()
-        num = int(tok.text)
-        if self.peek().text == "/":
-            self.next()
-            den_tok = self.peek()
-            if den_tok.kind != "num" or int(den_tok.text) == 0:
-                self.error("expected a positive integer denominator")
-            self.next()
-            return Fraction(num, int(den_tok.text))
-        return Fraction(num)
+        num = self.number()
+        self.pos += 1
+        if self.peek() != "/":
+            return Fraction(num)
+        self.pos += 1
+        den = self.number() if self.kind() == "num" else 0
+        if den == 0:
+            self.error("expected a positive integer denominator")
+        self.pos += 1
+        return Fraction(num, den)
 
-    def signed_terms(self, term_fn):
-        """Parse sign/coefficient structure, yielding (coeff, payload)."""
-        out = []
-        # a lone literal 0 denotes the zero element
-        if self.peek().text == "0" and self.tokens[self.pos + 1].kind == "end":
-            self.next()
-            return out
-        sign = Fraction(1)
-        if self.peek().text == "-":
-            self.next()
-            sign = Fraction(-1)
-        elif self.peek().text == "+":
-            self.next()
-        while True:
+    def signed_terms(self, term) -> list:
+        """The (coefficient, term()) pairs of the whole text."""
+        if len(self.tokens) == 2 and self.peek() == "0":
+            return []  # a lone 0 is the zero element
+        terms, sign = [], self.sign() or 1
+        while sign is not None:
             coeff = sign
-            if self.peek().kind == "num":
-                coeff = sign * self.rational()
-                if self.peek().text == "*":
-                    self.next()
-                else:
-                    # a bare rational is only legal as coefficient
-                    self.error("expected '*' after a coefficient")
-            out.append((coeff, term_fn()))
-            tok = self.peek()
-            if tok.text == "+":
-                sign = Fraction(1)
-                self.next()
-            elif tok.text == "-":
-                sign = Fraction(-1)
-                self.next()
+            if self.kind() == "num":
+                coeff *= self.rational()
+                self.expect("*", "expected '*' after a coefficient")
+            terms.append((coeff, term()))
+            sign = self.sign()
+        if self.kind() != "end":
+            self.error(f"unexpected trailing input {self.peek()!r}")
+        return terms
+
+    def monomial(self, forms: dict) -> list:
+        """The (sign, (shape, variables)) parts of the monomial of `forms`
+        that starts at the next token."""
+        start = self.pos
+        if self.peek() not in forms:
+            self.error(f"expected a monomial, found {self.peek()!r}")
+        pattern, shapes = forms[self.peek()]
+        labels = []
+        for entry in pattern:
+            if entry == "V":
+                labels.append(self.lookup(VAR_LABELS, "variable"))
             else:
-                break
-        if not self.at_end():
-            self.error(f"unexpected trailing input {self.peek().text!r}")
-        return out
+                self.expect(entry)
+        if len(set(labels)) < len(labels):
+            self.error("repeated variable in a monomial", start)
+        return [(sign, (shape, tuple(labels))) for sign, shape in shapes]
 
-    # -- relation monomials -------------------------------------------------
 
-    def var(self) -> int:
-        tok = self.peek()
-        if tok.kind != "name" or tok.text not in VAR_LABELS:
-            self.error(f"unknown variable {tok.text!r}")
-        self.next()
-        return VAR_LABELS[tok.text]
-
-    def monomial(self, allow_comb: bool):
-        tok = self.peek()
-        if tok.text == "(":
-            self.next()
-            a = self.var()
-            self.expect("*")
-            b = self.var()
-            self.expect(")")
-            self.expect("*")
-            c = self.var()
-            self._distinct(a, b, c, tok)
-            return [(Fraction(1), Weight3Element.monomial(LEFT, (a, b, c)))]
-        if tok.kind == "name" and tok.text == "A":
-            self.next()
-            self.expect("(")
-            a = self.var()
-            self.expect(",")
-            b = self.var()
-            self.expect(",")
-            c = self.var()
-            self.expect(")")
-            self._distinct(a, b, c, tok)
-            return [
-                (Fraction(1), Weight3Element.monomial(LEFT, (a, b, c))),
-                (Fraction(-1), Weight3Element.monomial(RIGHT, (a, b, c))),
-            ]
-        if allow_comb and tok.kind == "name" and tok.text in COMB_NAMES:
-            self.next()
-            return [("comb", COMB_NAMES.index(tok.text) + 1)]
-        if tok.kind == "name" and tok.text in VAR_LABELS:
-            a = self.var()
-            self.expect("*")
-            self.expect("(")
-            b = self.var()
-            self.expect("*")
-            c = self.var()
-            self.expect(")")
-            self._distinct(a, b, c, tok)
-            return [(Fraction(1), Weight3Element.monomial(RIGHT, (a, b, c)))]
-        self.error(f"expected a monomial, found {tok.text!r}")
-
-    def _distinct(self, a, b, c, tok):
-        if len({a, b, c}) != 3:
-            raise ParseError(
-                "repeated variable in a monomial", tok.line, tok.column
-            )
+def _weight3(text: str, symmetry: SymmetryClass, syntax: str) -> Weight3Element:
+    """Parse the whole text, then add each term's signed coordinates."""
+    parser = _Parser(text)
+    terms = parser.signed_terms(lambda: parser.monomial(_FORMS[syntax]))
+    coordinate = _COORDINATE[syntax]
+    coords = [ZERO] * len(coordinate)
+    for coeff, parts in terms:
+        for sign, key in parts:
+            if key not in coordinate:
+                raise ValueError(
+                    "comb relations may only use the monomials m1, m2, m3"
+                )
+            coords[coordinate[key]] += sign * coeff
+    return Weight3Element(symmetry, tuple(coords))
 
 
 def parse_relation(text: str) -> Weight3Element:
     """Parse a relation in the regular (no-symmetry) 12-monomial basis."""
-    parser = _Parser(text)
-    terms = parser.signed_terms(lambda: parser.monomial(allow_comb=False))
-    out = Weight3Element.zero(REGULAR)
-    for coeff, parts in terms:
-        for c, mono in parts:
-            out = out + mono.scaled(coeff * c)
-    return out
+    return _weight3(text, REGULAR, "tree")
 
 
 def parse_comb_relation(text: str, symmetry: SymmetryClass) -> Weight3Element:
     """Parse a relation over the comb monomials m1, m2, m3."""
     if symmetry is REGULAR:
         raise ValueError("comb relations live in the symmetric classes")
-    parser = _Parser(text)
-    terms = parser.signed_terms(lambda: parser.monomial(allow_comb=True))
-    out = Weight3Element.zero(symmetry)
-    for coeff, parts in terms:
-        for tag, payload in parts:
-            if tag != "comb":
-                raise ValueError(
-                    "comb relations may only use the monomials m1, m2, m3"
-                )
-            out = out + comb_in(symmetry, payload, coeff)
-    return out
+    return _weight3(text, symmetry, "comb")
 
 
 def parse_group_vector(text: str) -> GroupVector:
     """Parse a group-algebra vector over Id, t12, t13, t23, c1, c2."""
     parser = _Parser(text)
-
-    def perm():
-        tok = parser.peek()
-        if tok.kind != "name" or tok.text not in PERM_BY_NAME:
-            parser.error(f"unknown permutation symbol {tok.text!r}")
-        parser.next()
-        return PERM_BY_NAME[tok.text]
-
-    terms = parser.signed_terms(perm)
-    out = GroupVector.zero()
+    terms = parser.signed_terms(
+        lambda: parser.lookup(PERM_BY_NAME, "permutation symbol"))
+    coeffs = dict.fromkeys(PERMS, ZERO)
     for coeff, p in terms:
-        out = out + GroupVector.basis(p).scaled(coeff)
-    return out
+        coeffs[p] += coeff
+    return GroupVector(tuple(coeffs.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,13 @@ def apply_node_swaps(m: Monomial3, root_swap: bool, inner_swap: bool) -> Monomia
     return Monomial3(RIGHT, (i, j, k))
 
 
+# _SWAPPED[root_swap, inner_swap][n] is the index of MONOMIALS[n] after
+# those swaps.
+_SWAPPED = {(root, inner): tuple(apply_node_swaps(m, root, inner).index
+                                 for m in MONOMIALS)
+            for root in (False, True) for inner in (False, True)}
+
+
 @cache
 def placements(product: MixedProduct, sym_a: SymmetryClass,
                sym_b: SymmetryClass) -> tuple[int, tuple]:
@@ -143,16 +150,17 @@ def placements(product: MixedProduct, sym_a: SymmetryClass,
     cells that cancel are dropped.
     """
     proj_a, proj_b = PROJECTION[sym_a], PROJECTION[sym_b]
-    # (A root swap, A inner swap, B root swap, B inner swap, coefficient)
-    swaps = [(s_r == SWAP, s_i == SWAP, t_r == SWAP, t_i == SWAP, a_r * a_i)
+    # (swapped A-side indices, swapped B-side indices, coefficient)
+    swaps = [(_SWAPPED[s_r == SWAP, s_i == SWAP],
+              _SWAPPED[t_r == SWAP, t_i == SWAP], a_r * a_i)
              for (s_r, t_r), a_r in zip(PAIR_KEYS, product.coeffs) if a_r
              for (s_i, t_i), a_i in zip(PAIR_KEYS, product.coeffs) if a_i]
     cells = []
-    for m in MONOMIALS:
+    for n in range(len(MONOMIALS)):
         acc: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
-        for root_a, inner_a, root_b, inner_b, a in swaps:
-            ia, sa = proj_a[apply_node_swaps(m, root_a, inner_a).index]
-            ib, sb = proj_b[apply_node_swaps(m, root_b, inner_b).index]
+        for swapped_a, swapped_b, a in swaps:
+            ia, sa = proj_a[swapped_a[n]]
+            ib, sb = proj_b[swapped_b[n]]
             acc[ia, ib] += a if sa == sb else -a
         cells.append(acc)
     den = lcm(*[a.denominator for acc in cells for a in acc.values()])

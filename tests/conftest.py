@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from operad_forge import algebra_instances
 from operad_forge.algebra_instances import AlgebraInstance, Violation
 from operad_forge.foundation import full_space, kernel, span
-from operad_forge.group_module import PERMS, GroupVector
+from operad_forge.group_module import PERM_BY_NAME, PERMS, GroupVector
 from operad_forge.operad_calculus import RelationModule
+from operad_forge.relation_dsl import VAR_LABELS, ParseError
 from operad_forge.tensor_closure import PAIR_KEYS, SWAP, apply_node_swaps
 from operad_forge.weight_spaces import (
     ACTION_TABLE,
     ANTICOMMUTATIVE,
+    COMB_NAMES,
     COMB_PAIRS,
     COMMUTATIVE,
     LEFT,
@@ -23,6 +25,7 @@ from operad_forge.weight_spaces import (
     RIGHT,
     Weight3Element,
     act_vector,
+    comb_in,
 )
 
 ASSOCIATOR = (
@@ -253,3 +256,233 @@ def reference_tensor_instance(a, b, product):
                             continue
                         c[row][col][k * b.dim + r] += alpha * ca[k] * cb[r]
     return AlgebraInstance(n, tuple(tuple(tuple(v) for v in row) for row in c))
+
+
+# --- the relation parser before the token-pattern table ----------------------
+
+
+@dataclass
+class _Token:
+    kind: str  # 'num', 'name', 'punct', 'end'
+    text: str
+    line: int
+    column: int
+
+
+def _reference_tokenize(text):
+    """The per-character tokenizer: any `str.isdigit` run is a number."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(_Token("num", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("name", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in "+-*/(),":
+            tokens.append(_Token("punct", ch, line, col))
+            col += 1
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(_Token("end", "", line, col))
+    return tokens
+
+
+class _ReferenceParser:
+    """The recursive-descent parser with one branch per monomial form."""
+
+    def __init__(self, text):
+        self.tokens = _reference_tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def error(self, message):
+        tok = self.peek()
+        raise ParseError(message, tok.line, tok.column)
+
+    def expect(self, text):
+        tok = self.peek()
+        if tok.text != text:
+            self.error(f"expected {text!r}, found {tok.text!r}")
+        return self.next()
+
+    def at_end(self):
+        return self.peek().kind == "end"
+
+    def rational(self):
+        tok = self.peek()
+        if tok.kind != "num":
+            self.error(f"expected a number, found {tok.text!r}")
+        self.next()
+        num = int(tok.text)
+        if self.peek().text == "/":
+            self.next()
+            den_tok = self.peek()
+            if den_tok.kind != "num" or int(den_tok.text) == 0:
+                self.error("expected a positive integer denominator")
+            self.next()
+            return Fraction(num, int(den_tok.text))
+        return Fraction(num)
+
+    def signed_terms(self, term_fn):
+        out = []
+        if self.peek().text == "0" and self.tokens[self.pos + 1].kind == "end":
+            self.next()
+            return out
+        sign = Fraction(1)
+        if self.peek().text == "-":
+            self.next()
+            sign = Fraction(-1)
+        elif self.peek().text == "+":
+            self.next()
+        while True:
+            coeff = sign
+            if self.peek().kind == "num":
+                coeff = sign * self.rational()
+                if self.peek().text == "*":
+                    self.next()
+                else:
+                    self.error("expected '*' after a coefficient")
+            out.append((coeff, term_fn()))
+            tok = self.peek()
+            if tok.text == "+":
+                sign = Fraction(1)
+                self.next()
+            elif tok.text == "-":
+                sign = Fraction(-1)
+                self.next()
+            else:
+                break
+        if not self.at_end():
+            self.error(f"unexpected trailing input {self.peek().text!r}")
+        return out
+
+    def var(self):
+        tok = self.peek()
+        if tok.kind != "name" or tok.text not in VAR_LABELS:
+            self.error(f"unknown variable {tok.text!r}")
+        self.next()
+        return VAR_LABELS[tok.text]
+
+    def monomial(self, allow_comb):
+        tok = self.peek()
+        if tok.text == "(":
+            self.next()
+            a = self.var()
+            self.expect("*")
+            b = self.var()
+            self.expect(")")
+            self.expect("*")
+            c = self.var()
+            self._distinct(a, b, c, tok)
+            return [(Fraction(1), Weight3Element.monomial(LEFT, (a, b, c)))]
+        if tok.kind == "name" and tok.text == "A":
+            self.next()
+            self.expect("(")
+            a = self.var()
+            self.expect(",")
+            b = self.var()
+            self.expect(",")
+            c = self.var()
+            self.expect(")")
+            self._distinct(a, b, c, tok)
+            return [
+                (Fraction(1), Weight3Element.monomial(LEFT, (a, b, c))),
+                (Fraction(-1), Weight3Element.monomial(RIGHT, (a, b, c))),
+            ]
+        if allow_comb and tok.kind == "name" and tok.text in COMB_NAMES:
+            self.next()
+            return [("comb", COMB_NAMES.index(tok.text) + 1)]
+        if tok.kind == "name" and tok.text in VAR_LABELS:
+            a = self.var()
+            self.expect("*")
+            self.expect("(")
+            b = self.var()
+            self.expect("*")
+            c = self.var()
+            self.expect(")")
+            self._distinct(a, b, c, tok)
+            return [(Fraction(1), Weight3Element.monomial(RIGHT, (a, b, c)))]
+        self.error(f"expected a monomial, found {tok.text!r}")
+
+    def _distinct(self, a, b, c, tok):
+        if len({a, b, c}) != 3:
+            raise ParseError(
+                "repeated variable in a monomial", tok.line, tok.column
+            )
+
+
+def reference_parse_relation(text):
+    """`parse_relation` summing one whole vector per monomial."""
+    parser = _ReferenceParser(text)
+    terms = parser.signed_terms(lambda: parser.monomial(allow_comb=False))
+    out = Weight3Element.zero(REGULAR)
+    for coeff, parts in terms:
+        for c, mono in parts:
+            out = out + mono.scaled(coeff * c)
+    return out
+
+
+def reference_parse_comb_relation(text, symmetry):
+    """`parse_comb_relation` summing one whole vector per monomial."""
+    if symmetry is REGULAR:
+        raise ValueError("comb relations live in the symmetric classes")
+    parser = _ReferenceParser(text)
+    terms = parser.signed_terms(lambda: parser.monomial(allow_comb=True))
+    out = Weight3Element.zero(symmetry)
+    for coeff, parts in terms:
+        for tag, payload in parts:
+            if tag != "comb":
+                raise ValueError(
+                    "comb relations may only use the monomials m1, m2, m3"
+                )
+            out = out + comb_in(symmetry, payload, coeff)
+    return out
+
+
+def reference_parse_group_vector(text):
+    """`parse_group_vector` summing one whole vector per symbol."""
+    parser = _ReferenceParser(text)
+
+    def perm():
+        tok = parser.peek()
+        if tok.kind != "name" or tok.text not in PERM_BY_NAME:
+            parser.error(f"unknown permutation symbol {tok.text!r}")
+        parser.next()
+        return PERM_BY_NAME[tok.text]
+
+    terms = parser.signed_terms(perm)
+    out = GroupVector.zero()
+    for coeff, p in terms:
+        out = out + GroupVector.basis(p).scaled(coeff)
+    return out

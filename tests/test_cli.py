@@ -94,6 +94,21 @@ def test_show_bad_definition_file_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("relation,message", [
+    ("(x*y)*z ?", "unexpected character '?' (line 1, column 9)"),
+    ("1²*(x*y)*z", "unexpected character '²' (line 1, column 2)"),
+    ("(x*y)*z\n+ 1" + "0" * 4300 + "*x*(y*z)",
+     "number too long (4301 digits) (line 2, column 3)"),
+])
+def test_show_relation_parse_error_exits_2(tmp_path, capsys, relation,
+                                           message):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"symmetry": "regular",
+                                "relations": [relation]}))
+    code, out, err = _run(capsys, "show", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 _LEIB = "x*(y*z) - (x*y)*z + (x*z)*y"
 
 

@@ -362,6 +362,21 @@ def test_operad_from_definition_bad_symmetry():
         operad_from_definition({"symmetry": "cyclic", "relations": []})
 
 
+@pytest.mark.parametrize("value", [
+    "cyclic", "Comm", "", None, 1, True, ["comm"], {"comm": 1}, COMMUTATIVE,
+], ids=repr)
+def test_symmetry_is_named_by_its_string_value(value):
+    with pytest.raises(ValueError) as err:
+        operad_from_definition({"symmetry": value, "relations": []})
+    assert str(err.value) == f"unknown symmetry class: {value!r}"
+
+
+def test_symmetry_values_name_their_classes():
+    for symmetry in SymmetryClass:
+        q = operad_from_definition({"symmetry": symmetry.value})
+        assert q.symmetry is symmetry
+
+
 @pytest.mark.parametrize("symmetry,relation,pair", [
     ("regular", "x*(y*z) - (x*y)*z + (x*z)*y", {"v": "Id - t23", "w": "Id"}),
     ("comm", "m1 - m2", {"v": "Id", "w": "Id"}),

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from operad_forge.group_module import C1, C2, ID, T12, T13, T23, group_vector
 from operad_forge.relation_dsl import (
@@ -21,6 +23,12 @@ from operad_forge.weight_spaces import (
     associator,
     comb_in,
     decompose_LR,
+)
+
+from conftest import (
+    reference_parse_comb_relation,
+    reference_parse_group_vector,
+    reference_parse_relation,
 )
 
 
@@ -157,3 +165,107 @@ def test_format_round_trip_group_vector():
 
 def test_format_zero():
     assert format_weight3(Weight3Element.zero(REGULAR)) == "0"
+
+
+# One input per message of the parser: (entry point, text, message, line,
+# column); line and column are None for the comb ValueErrors.
+_ENTRIES = {
+    "relation": parse_relation,
+    "comb": lambda text: parse_comb_relation(text, COMMUTATIVE),
+    "comb-regular": lambda text: parse_comb_relation(text, REGULAR),
+    "group": parse_group_vector,
+}
+_REJECTED = [
+    ("relation", "(x*y)*z ?", "unexpected character '?'", 1, 9),
+    ("relation", "_x", "unexpected character '_'", 1, 1),
+    ("relation", "1/0*(x*y)*z", "expected a positive integer denominator",
+     1, 3),
+    ("relation", "1/x*(x*y)*z", "expected a positive integer denominator",
+     1, 3),
+    ("relation", "3 + (x*y)*z", "expected '*' after a coefficient", 1, 3),
+    ("relation", "2", "expected '*' after a coefficient", 1, 2),
+    ("relation", "(x*y)*z (y*x)*z", "unexpected trailing input '('", 1, 9),
+    ("relation", "(x*w)*z", "unknown variable 'w'", 1, 4),
+    ("relation", "(x*y)*z\n+ (x*q)*z", "unknown variable 'q'", 2, 6),
+    ("relation", "(x*y*z", "expected ')', found '*'", 1, 5),
+    ("relation", "A(x,y)", "expected ',', found ')'", 1, 6),
+    ("relation", "(x*y)*z + - x*(y*z)", "expected a monomial, found '-'",
+     1, 11),
+    ("relation", "x*(y*z) -", "expected a monomial, found ''", 1, 10),
+    ("relation", "m1", "expected a monomial, found 'm1'", 1, 1),
+    ("relation", "x²*(y*z)", "expected a monomial, found 'x²'", 1, 1),
+    ("relation", "A(x,y,x)", "repeated variable in a monomial", 1, 1),
+    ("relation", "  \t(x*x)*z", "repeated variable in a monomial", 1, 4),
+    ("group", "Id + t14", "unknown permutation symbol 't14'", 1, 6),
+    ("comb", "(x*y)*z + m1 m2", "unexpected trailing input 'm2'", 1, 14),
+    ("comb", "(x*y)*z",
+     "comb relations may only use the monomials m1, m2, m3", None, None),
+    ("comb-regular", "m1", "comb relations live in the symmetric classes",
+     None, None),
+]
+
+
+@pytest.mark.parametrize("entry,text,message,line,column", _REJECTED)
+def test_rejected_text_names_its_message_and_position(entry, text, message,
+                                                      line, column):
+    with pytest.raises(ValueError) as err:
+        _ENTRIES[entry](text)
+    if line is None:
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
+    else:
+        assert type(err.value) is ParseError
+        assert str(err.value) == f"{message} (line {line}, column {column})"
+        assert (err.value.line, err.value.column) == (line, column)
+
+
+_LONG = "1" * 4301
+
+
+@pytest.mark.parametrize("text,message,column", [
+    pytest.param("²*(x*y)*z", "unexpected character '²'", 1,
+                 id="superscript"),
+    pytest.param("1²*(x*y)*z", "unexpected character '²'", 2,
+                 id="digit-superscript"),
+    pytest.param("１*(x*y)*z", "unexpected character '１'", 1,
+                 id="full-width"),
+    pytest.param(_LONG + "*(x*y)*z", "number too long (4301 digits)", 1,
+                 id="long-numerator"),
+    pytest.param("1/" + _LONG + "*(x*y)*z", "number too long (4301 digits)",
+                 3, id="long-denominator"),
+])
+def test_numbers_are_ascii_digits(text, message, column):
+    with pytest.raises(ParseError) as err:
+        parse_relation(text)
+    assert str(err.value) == f"{message} (line 1, column {column})"
+
+
+# Token soup over every token kind, spacing and a few non-ASCII letters.
+# Non-ASCII digits stay out: they are errors now, numbers before.
+_SOUP = st.lists(st.sampled_from([
+    "x", "y", "z", "x1", "x2", "x3", "A", "m1", "m2", "m3", "Id", "t12",
+    "t13", "t23", "c1", "c2", "w", "0", "1", "2", "10", "00", "(", ")", "*",
+    "+", "-", "/", ",", "(x*y)*z", "x*(y*z)", "A(x,y,z)", " ", "\n", "\t",
+    "\r", "_", "é", "Ω", "?",
+]), max_size=14).map("".join)
+
+
+def _outcome(parse, text):
+    try:
+        return "value", parse(text)
+    except ParseError as exc:
+        return "ParseError", str(exc), exc.line, exc.column
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(text=_SOUP)
+def test_parsers_match_the_reference_parser(text):
+    for parse, reference in [
+        (parse_relation, reference_parse_relation),
+        (lambda t: parse_comb_relation(t, ANTICOMMUTATIVE),
+         lambda t: reference_parse_comb_relation(t, ANTICOMMUTATIVE)),
+        (parse_group_vector, reference_parse_group_vector),
+    ]:
+        assert _outcome(parse, text) == _outcome(reference, text)
