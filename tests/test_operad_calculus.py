@@ -371,12 +371,6 @@ def test_symmetry_is_named_by_its_string_value(value):
     assert str(err.value) == f"unknown symmetry class: {value!r}"
 
 
-def test_symmetry_values_name_their_classes():
-    for symmetry in SymmetryClass:
-        q = operad_from_definition({"symmetry": symmetry.value})
-        assert q.symmetry is symmetry
-
-
 @pytest.mark.parametrize("symmetry,relation,pair", [
     ("regular", "x*(y*z) - (x*y)*z + (x*z)*y", {"v": "Id - t23", "w": "Id"}),
     ("comm", "m1 - m2", {"v": "Id", "w": "Id"}),
