@@ -134,14 +134,6 @@ class Weight3Element:
         return format_weight3(self)
 
 
-def comb_in(symmetry: SymmetryClass, p: int, coeff=1) -> Weight3Element:
-    if symmetry is REGULAR:
-        raise ValueError("comb basis lives in the symmetric classes")
-    coords = [Fraction(0)] * 3
-    coords[p - 1] = Fraction(coeff)
-    return Weight3Element(symmetry, tuple(coords))
-
-
 def act_monomial(sigma: Perm3, m: Monomial3) -> Monomial3:
     """sigma((x_i*x_j)*x_k) relabels each leaf l to sigma^{-1}(l)."""
     inv = sigma.inverse()

@@ -25,7 +25,6 @@ from operad_forge.weight_spaces import (
     RIGHT,
     Weight3Element,
     act_vector,
-    comb_in,
 )
 
 ASSOCIATOR = (
@@ -44,6 +43,15 @@ def example(name):
     if name not in algebra_instances._CATALOG:
         raise ValueError(f"unknown example name: {name!r}")
     return algebra_instances._CATALOG[name]
+
+
+def comb_in(symmetry, p, coeff=1):
+    """coeff times the comb monomial m_p of a symmetric class."""
+    if symmetry is REGULAR:
+        raise ValueError("comb basis lives in the symmetric classes")
+    coords = [Fraction(0)] * 3
+    coords[p - 1] = Fraction(coeff)
+    return Weight3Element(symmetry, tuple(coords))
 
 
 def act(sigma, x):

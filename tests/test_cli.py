@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import os
-import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +12,11 @@ from operad_forge.cli import run
 from operad_forge.operad_calculus import (
     PRESET_NAMES,
     dual,
-    regular_presets,
     tilde,
 )
 
 from conftest import example, example_names
-
-GOLDEN = pathlib.Path(__file__).parent / "golden"
+from golden_commands import GOLDEN, GOLDENS, ROOT, mismatch
 
 
 def _run(capsys, *argv):
@@ -228,117 +225,23 @@ def test_verify_negative_symmetric_p_needs_commutative_q(capsys):
                    "--q of class comm, got anticomm\n")
 
 
-@pytest.mark.parametrize("argv,golden", [
-    (("verify", "negative", "--p", "leib", "--q", "zinb"),
-     "verify_negative_leib_zinb.txt"),
-    (("verify", "theorem1", "--all-presets"), "verify_theorem1_all.txt"),
-    (("verify", "bracket-lie"), "verify_bracket_lie.txt"),
-    (("verify", "twisted-poisson"), "verify_twisted_poisson.txt"),
-])
-def test_verify_matches_golden(capsys, argv, golden):
-    code, out, _ = _run(capsys, *argv)
-    assert code == 0
-    assert out == (GOLDEN / golden).read_text()
+@pytest.mark.parametrize("golden", GOLDENS)
+def test_golden_matches_its_commands(capsys, monkeypatch, golden):
+    monkeypatch.chdir(ROOT)
+    message = mismatch(golden, lambda argv: _run(capsys, *argv))
+    assert message is None, message
 
 
-def test_companion_matches_golden(capsys):
-    outs = []
-    for name in regular_presets():
-        code, out, _ = _run(capsys, "companion", name)
-        assert code == 0, name
-        outs.append(out)
-    assert "".join(outs) == (GOLDEN / "companion_regular.txt").read_text()
-
-
-def test_tilde_matches_golden(capsys):
-    """`tilde NAME` for every preset at seed 0, then comm3 (the preset with
-    no stored presentation) at seeds 1 and 2."""
-    argvs = [("tilde", name) for name in PRESET_NAMES]
-    argvs += [("tilde", "comm3", "--seed", seed) for seed in ("1", "2")]
-    outs = []
-    for argv in argvs:
-        code, out, _ = _run(capsys, *argv)
-        assert code == 0, argv
-        outs.append(out)
-    assert "".join(outs) == (GOLDEN / "tilde_presets.txt").read_text()
-
-
-def test_show_dual_tilde_matches_golden(capsys):
-    """`show NAME --dual --tilde` for every preset at seed 0."""
-    outs = []
-    for name in PRESET_NAMES:
-        code, out, _ = _run(capsys, "show", name, "--dual", "--tilde")
-        assert code == 0, name
-        outs.append(out)
-    assert "".join(outs) == (GOLDEN / "show_dual_tilde.txt").read_text()
-
-
-def test_show_flags_match_golden(capsys):
-    """`show NAME --rank --isotypic --orbits` for every preset at seed 0."""
-    outs = []
-    for name in PRESET_NAMES:
-        code, out, _ = _run(capsys, "show", name, "--rank", "--isotypic",
-                            "--orbits")
-        assert code == 0, name
-        outs.append(out)
-    assert "".join(outs) == (GOLDEN / "show_flags.txt").read_text()
-
-
-# One run of each subcommand, with the exit code it must return.
-_GOLDEN_JSON = [
-    (("report", "paper-tables"), 0),
-    (("verify", "theorem1", "--all-presets"), 0),
-    (("verify", "bracket-lie"), 0),
-    (("verify", "twisted-poisson"), 0),
-    (("verify", "negative", "--p", "leib", "--q", "zinb"), 0),
-    (("companion", "leib"), 0),
-    (("show", "leib", "--rank", "--isotypic", "--orbits", "--dual",
-      "--tilde"), 0),
-    (("instance", "check", str(GOLDEN / "instances" / "leibniz_3d.json"),
-      "--operad", "zinb"), 1),
-    (("search", "counterexample", "--p", "leib", "--q", "zinb",
-      "--max-dim", "3"), 0),
-]
-
-
-def test_json_output_matches_golden(capsys):
-    outs = []
-    for argv, expected in _GOLDEN_JSON:
-        code, out, err = _run(capsys, *argv, "--json")
-        assert (code, err) == (expected, ""), argv
-        outs.append(out)
-    assert "".join(outs) == (GOLDEN / "cli_json.txt").read_text()
-
-
-# Fixture pairs whose tensor products have nonzero structure constants.
-_GOLDEN_TENSORS = [
-    ("comm_assoc_2d", "comm_assoc_2d"),
-    ("leibniz_3d", "leib_tilde_3d"),
-    ("poisson_heisenberg", "comm_assoc_2d", "--twist", "poisson"),
-]
-
-
-def test_instance_commands_match_golden(capsys):
-    """`instance check` on every catalog fixture against ass, leib, poiss
-    and com, then `instance tensor` on three pairs, read from the committed
-    instance files."""
-    outs = []
-    for name in example_names():
-        path = GOLDEN / "instances" / f"{name}.json"
-        assert json.loads(path.read_text()) == example(name).to_json(), name
-        for op in ("ass", "leib", "poiss", "com"):
-            code, out, err = _run(capsys, "instance", "check", str(path),
-                                  "--operad", op)
-            assert (code, err) == (
-                0 if out.endswith("verified: true\n") else 1, ""), (name, op)
-            outs.append(out)
-    for a, b, *twist in _GOLDEN_TENSORS:
-        code, out, _ = _run(capsys, "instance", "tensor",
-                            str(GOLDEN / "instances" / f"{a}.json"),
-                            str(GOLDEN / "instances" / f"{b}.json"), *twist)
-        assert code == 0, (a, b)
-        outs.append(out)
-    assert "".join(outs) == (GOLDEN / "instance_check.txt").read_text()
+def test_golden_table_covers_every_golden_file():
+    assert sorted(GOLDENS) == sorted(p.name for p in GOLDEN.glob("*.txt"))
+    files = sorted(GOLDEN.glob("instances/*.json"))
+    read = {arg for rows in GOLDENS.values() for argv, _ in rows
+            for arg in argv if arg.endswith(".json")}
+    assert read == {str(path.relative_to(ROOT)) for path in files}
+    assert [path.stem for path in files] == example_names()
+    for path in files:
+        assert json.loads(path.read_text()) == example(path.stem).to_json(), \
+            path.name
 
 
 def test_verify_theorem1_builds_each_tilde_once(capsys, monkeypatch):
@@ -485,12 +388,6 @@ def test_search_counterexample_bad_input_exits_2(capsys, argv, message):
     assert out == ""
     assert message in err
     assert "Traceback" not in err and err.count("\n") == 1
-
-
-def test_report_matches_golden(capsys):
-    code, out, _ = _run(capsys, "report", "paper-tables")
-    assert code == 0
-    assert out == (GOLDEN / "paper_tables.txt").read_text()
 
 
 def test_report_stability_probe_reads_each_seed(capsys):

@@ -48,12 +48,11 @@ from operad_forge.weight_spaces import (
     Weight3Element,
     act_vector,
     associator,
-    comb_in,
     project,
     psi,
 )
 
-from conftest import act, example, example_names, full_module
+from conftest import act, comb_in, example, example_names, full_module
 from test_group_module import reference_isotypic_multiplicities
 from test_weight_spaces import reference_psi
 

@@ -21,11 +21,11 @@ from operad_forge.weight_spaces import (
     RIGHT,
     Weight3Element,
     associator,
-    comb_in,
     decompose_LR,
 )
 
 from conftest import (
+    comb_in,
     reference_parse_comb_relation,
     reference_parse_group_vector,
     reference_parse_relation,

@@ -53,6 +53,7 @@ from operad_forge.weight_spaces import (
 from conftest import (
     TensorElement3,
     act,
+    comb_in,
     example,
     example_names,
     full_module,
@@ -115,8 +116,6 @@ def test_bracket_expansion_term_count():
 
 
 def test_expand_rejects_symmetric_template():
-    from operad_forge.weight_spaces import comb_in
-
     free = zero_module(REGULAR)
     with pytest.raises(ValueError):
         leaks(comb_in(COMMUTATIVE, 1), MixedProduct.identity(), free, free)
@@ -361,11 +360,15 @@ def _reference_projection_matrix(target):
 
 
 def _reference_matmul(a, b):
-    return [
-        [sum((x * y for x, y in zip(row, col)), Fraction(0))
-         for col in zip(*b)]
-        for row in a
-    ]
+    """a times b, skipping the zero entries of a."""
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * len(b[0])
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append(acc)
+    return out
 
 
 def _reference_regular_expand(relation, product):

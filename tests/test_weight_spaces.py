@@ -20,14 +20,19 @@ from operad_forge.weight_spaces import (
     act_monomial,
     act_vector,
     associator,
-    comb_in,
     decompose_LR,
     lift,
     project,
     psi,
 )
 
-from conftest import ASSOCIATOR, act, group_vectors, reference_project
+from conftest import (
+    ASSOCIATOR,
+    act,
+    comb_in,
+    group_vectors,
+    reference_project,
+)
 
 
 def test_dimension_of_weight_spaces():
