@@ -121,8 +121,13 @@ class AlgebraInstance:
 
     @classmethod
     def from_json(cls, data: dict, name=None) -> "AlgebraInstance":
-        """Build from {"dim": n, "structure": [[i, j, k, value], ...]}."""
-        if not isinstance(data, dict) or not {"dim", "structure"} <= set(data):
+        """Build from {"dim": n, "structure": [[i, j, k, value], ...]}; any
+        other key is a ValueError that names it."""
+        for key in data if isinstance(data, dict) else ():
+            if key not in ("dim", "structure"):
+                raise ValueError(f"unknown key {_echo(repr(key))} in an "
+                                 "instance; it takes 'dim' and 'structure'")
+        if not isinstance(data, dict) or len(data) != 2:
             raise ValueError(
                 "an instance is a JSON object with 'dim' and 'structure'")
         entries = data["structure"]

@@ -14,7 +14,6 @@ from .foundation import (
     ONE,
     ZERO,
     Subspace,
-    Vector,
     kernel,
     primitive,
     span,
@@ -26,7 +25,6 @@ from .group_module import (
     PERMS,
     GroupVector,
     IsotypicProfile,
-    Perm3,
     T23,
     group_vector,
     isotypic_multiplicities,
@@ -41,10 +39,13 @@ from .relation_dsl import (
 )
 from .weight_spaces import (
     ANTICOMMUTATIVE,
+    COMB_LIFTS,
     COMMUTATIVE,
     LEFT,
+    PAIRING,
     REGULAR,
     RIGHT,
+    SWAPPED,
     SymmetryClass,
     Weight3Element,
     act_vector,
@@ -177,16 +178,6 @@ def operads_equal(p: QuadraticOperad, q: QuadraticOperad) -> bool:
 # Koszul dual.
 
 
-def _pairing_diagonal() -> Vector:
-    """<m, m> for the 12 regular monomials: +sign for Right, -sign for Left."""
-    from .weight_spaces import MONOMIALS
-
-    return tuple(
-        Fraction(Perm3(m.labels).sign() * (1 if m.shape == RIGHT else -1))
-        for m in MONOMIALS
-    )
-
-
 _SYMMETRIC_DUAL_CLASS = {COMMUTATIVE: ANTICOMMUTATIVE,
                          ANTICOMMUTATIVE: COMMUTATIVE}
 
@@ -194,23 +185,20 @@ _SYMMETRIC_DUAL_CLASS = {COMMUTATIVE: ANTICOMMUTATIVE,
 def dual(p: QuadraticOperad) -> QuadraticOperad:
     """Orthogonal complement of the relations under the diagonal pairing.
 
-    The regular class uses the signed diagonal pairing on the 12 monomials.
-    For a symmetric class the generating operation dualizes to the opposite
-    symmetry and the comb bases are paired diagonally; this reproduces the
-    classical pairs (Lie/Com and free-anticommutative/nilpotent-commutative).
+    The regular class uses the signed diagonal pairing PAIRING on the 12
+    monomials.  For a symmetric class the generating operation dualizes to
+    the opposite symmetry and the comb bases are paired diagonally; this
+    reproduces the classical pairs (Lie/Com and
+    free-anticommutative/nilpotent-commutative).
     """
     if p.symmetry is REGULAR:
-        diag = _pairing_diagonal()
-        ambient = 12
-        target = REGULAR
+        diag, target = PAIRING, REGULAR
     else:
-        diag = (Fraction(1),) * 3
-        ambient = 3
-        target = _SYMMETRIC_DUAL_CLASS[p.symmetry]
+        diag, target = (1, 1, 1), _SYMMETRIC_DUAL_CLASS[p.symmetry]
     # v orthogonal to basis b:  sum_m v_m * diag_m * b_m = 0.
-    rows = [tuple(b[m] * diag[m] for m in range(ambient))
+    rows = [tuple(b_m * d for b_m, d in zip(b, diag))
             for b in p.relations.space.basis]
-    rel = RelationModule(target, kernel(span(rows, ambient)))
+    rel = RelationModule(target, kernel(span(rows, p.symmetry.dim)))
     name = f"dual({p.name})" if p.name else None
     return QuadraticOperad(target, rel, None, name)
 
@@ -222,26 +210,18 @@ def dual(p: QuadraticOperad) -> QuadraticOperad:
 def _equivariant_lift(x: Weight3Element) -> Weight3Element:
     """A regular-class preimage of x that splits evenly across both shapes.
 
-    For a comb monomial with inner pair (i, j) and outer leaf k the lift
-    averages the left-nested form with its right-nested mirror, so the L
-    and R parts of a presentation both carry the generator.
+    For a comb monomial (x_i*x_j)*x_k the lift averages it with its
+    root-swapped mirror x_k*(x_i*x_j), so the L and R parts of a
+    presentation both carry the generator.
     """
-    from .weight_spaces import COMB_PAIRS
-
     if x.symmetry is REGULAR:
         return x
     sign = 1 if x.symmetry is COMMUTATIVE else -1
-    out = Weight3Element.zero(REGULAR)
-    for p, c in enumerate(x.coords):
-        if c == 0:
-            continue
-        i, j = COMB_PAIRS[p]
-        k = 6 - i - j
-        out = out + Weight3Element.monomial(LEFT, (i, j, k), Fraction(c, 2))
-        out = out + Weight3Element.monomial(
-            RIGHT, (k, i, j), Fraction(sign * c, 2)
-        )
-    return out
+    coords = [ZERO] * 12
+    for m, c in zip(COMB_LIFTS, x.coords):
+        coords[m.index] = c / 2
+        coords[SWAPPED[True, False][m.index]] = sign * c / 2
+    return Weight3Element(REGULAR, tuple(coords))
 
 
 _PRESENTATION_TRIES = 500
@@ -480,11 +460,17 @@ def operad_from_definition(data: dict) -> QuadraticOperad:
     `relations` (list of relation strings; comb syntax for the symmetric
     classes), optional `presentation` (list of {v, w} group-vector strings),
     which must generate the same module as the relations.  A definition of
-    any other shape is a ValueError that names the field.
+    any other shape, or with any other key, is a ValueError that names the
+    field or the key.
     """
     if not isinstance(data, dict):
         raise ValueError(
             f"an operad definition is a JSON object, got {_json_type(data)}")
+    for key in data:
+        if key not in ("name", "symmetry", "relations", "presentation"):
+            raise ValueError(
+                f"unknown key {key!r} in an operad definition; it takes "
+                "'name', 'symmetry', 'relations' and 'presentation'")
     name = data.get("name")
     if name is not None:
         _string(name, "name")

@@ -29,28 +29,30 @@ from math import lcm
 from typing import Sequence
 
 from .foundation import ZERO, Vector, integer_row
+from .group_module import subgroup_alternating
 from .operad_calculus import (
     QuadraticOperad,
     RelationModule,
     orbit_span,
+    presented_relation,
     preset,
     tilde,
     zero_module,
 )
 from .weight_spaces import (
-    LEFT,
     MONOMIALS,
     PROJECTION,
     REGULAR,
-    RIGHT,
-    Monomial3,
+    SWAPPED,
     SymmetryClass,
     Weight3Element,
     lift,
 )
 
-E2 = "e"
-SWAP = "s"
+# A pair key (s, t) says whether the A side and the B side swap their
+# arguments: the keys of SWAPPED.
+E2 = False
+SWAP = True
 PAIR_KEYS = ((E2, E2), (E2, SWAP), (SWAP, E2), (SWAP, SWAP))
 
 
@@ -103,40 +105,12 @@ class MixedProduct:
 
     def precompose_swap(self) -> "MixedProduct":
         """The product (a, b) -> product(b, a)."""
-        flip = {E2: SWAP, SWAP: E2}
         return MixedProduct.from_dict(
-            {(flip[s], flip[t]): self[(s, t)] for s, t in PAIR_KEYS}
+            {(not s, not t): self[(s, t)] for s, t in PAIR_KEYS}
         )
 
     def negated(self) -> "MixedProduct":
         return MixedProduct(tuple(-c for c in self.coeffs))
-
-
-def apply_node_swaps(m: Monomial3, root_swap: bool, inner_swap: bool) -> Monomial3:
-    """Renormalize a monomial tree after swapping node arguments.
-
-    The inner node holds the adjacent pair of leaves; swapping the root's
-    arguments flips the tree between the Left and Right shapes.
-    """
-    i, j, k = m.labels
-    if m.shape == LEFT:
-        if inner_swap:
-            i, j = j, i
-        if root_swap:
-            return Monomial3(RIGHT, (k, i, j))
-        return Monomial3(LEFT, (i, j, k))
-    if inner_swap:
-        j, k = k, j
-    if root_swap:
-        return Monomial3(LEFT, (j, k, i))
-    return Monomial3(RIGHT, (i, j, k))
-
-
-# _SWAPPED[root_swap, inner_swap][n] is the index of MONOMIALS[n] after
-# those swaps.
-_SWAPPED = {(root, inner): tuple(apply_node_swaps(m, root, inner).index
-                                 for m in MONOMIALS)
-            for root in (False, True) for inner in (False, True)}
 
 
 @cache
@@ -151,8 +125,7 @@ def placements(product: MixedProduct, sym_a: SymmetryClass,
     """
     proj_a, proj_b = PROJECTION[sym_a], PROJECTION[sym_b]
     # (swapped A-side indices, swapped B-side indices, coefficient)
-    swaps = [(_SWAPPED[s_r == SWAP, s_i == SWAP],
-              _SWAPPED[t_r == SWAP, t_i == SWAP], a_r * a_i)
+    swaps = [(SWAPPED[s_r, s_i], SWAPPED[t_r, t_i], a_r * a_i)
              for (s_r, t_r), a_r in zip(PAIR_KEYS, product.coeffs) if a_r
              for (s_i, t_i), a_i in zip(PAIR_KEYS, product.coeffs) if a_i]
     cells = []
@@ -271,18 +244,14 @@ def minimal_companion(p: QuadraticOperad) -> RelationModule:
 def jacobiator_template() -> Weight3Element:
     """The Jacobi sum of nested commutators, written over a generic product.
 
-    Built programmatically by expanding [[a,b],c] with [x,y] = xy - yx at
-    both nodes, summed over the cyclic arrangements.
+    Expanding [[a,b],c] with [x,y] = xy - yx at both nodes and summing over
+    the cyclic arrangements gives each monomial the sign of its arrangement,
+    negated for the Right shape: psi(V_6, L) - psi(V_6, R), the relation of
+    the Lie-admissible operad, whose coordinates are those of PAIRING
+    negated.
     """
-    out = Weight3Element.zero(REGULAR)
-    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        base = Monomial3(LEFT, (a, b, c))
-        for root_swap in (False, True):
-            for inner_swap in (False, True):
-                sign = (-1 if root_swap else 1) * (-1 if inner_swap else 1)
-                m = apply_node_swaps(base, root_swap, inner_swap)
-                out = out + Weight3Element.monomial(m.shape, m.labels, sign)
-    return out
+    v6 = subgroup_alternating(6)
+    return presented_relation(v6, v6, REGULAR)
 
 
 def bracket_antisymmetric() -> bool:
@@ -295,8 +264,6 @@ def bracket_is_lie(r_a: RelationModule, r_b: RelationModule) -> bool:
     """Does the commutator-style product on A (x) B satisfy Jacobi?"""
     if r_a.symmetry is not REGULAR or r_b.symmetry is not REGULAR:
         raise ValueError("the bracket check expects regular classes")
-    if not bracket_antisymmetric():
-        return False
     ok, _ = closure_holds(
         r_a, r_b, MixedProduct.bracket(), [jacobiator_template()]
     )

@@ -5,9 +5,14 @@ monomials (x_i*x_j)*x_k (Left shape) and x_i*(x_j*x_k) (Right shape) over
 the six arrangements of (1,2,3).  For a commutative or anticommutative
 operation the space collapses to the 3-dimensional comb basis
 m1 = (x1*x2)*x3, m2 = (x2*x3)*x1, m3 = (x3*x1)*x2, indexed by the
-unordered inner pair.  The projection onto a class is one signed table,
-PROJECTION, built at import; project, the action tables and the tensor
-expansion all read it.
+unordered inner pair.
+
+Every signed map on the monomials is a table built once at import:
+PROJECTION (the coordinate of each monomial in each class), ACTION_TABLE
+(the Sigma_3 action), PSI_INDEX (the translation maps psi), SWAPPED (the
+monomial after swapping node arguments) and PAIRING (the diagonal of the
+Koszul pairing).  project, act_vector, psi, the tensor expansion and the
+Koszul dual read them instead of building monomial trees.
 """
 
 from __future__ import annotations
@@ -226,6 +231,40 @@ def psi(v: GroupVector, side: str) -> Weight3Element:
     for i, c in zip(PSI_INDEX[side], v.coeffs):
         coords[i] = c
     return Weight3Element(REGULAR, tuple(coords))
+
+
+def apply_node_swaps(m: Monomial3, root_swap: bool,
+                     inner_swap: bool) -> Monomial3:
+    """Renormalize a monomial tree after swapping node arguments.
+
+    The inner node holds the adjacent pair of leaves; swapping the root's
+    arguments flips the tree between the Left and Right shapes.
+    """
+    i, j, k = m.labels
+    if m.shape == LEFT:
+        if inner_swap:
+            i, j = j, i
+        if root_swap:
+            return Monomial3(RIGHT, (k, i, j))
+        return Monomial3(LEFT, (i, j, k))
+    if inner_swap:
+        j, k = k, j
+    if root_swap:
+        return Monomial3(LEFT, (j, k, i))
+    return Monomial3(RIGHT, (i, j, k))
+
+
+# SWAPPED[root_swap, inner_swap][n] is the index of MONOMIALS[n] after
+# those swaps.
+SWAPPED = {(root, inner): tuple(apply_node_swaps(m, root, inner).index
+                                for m in MONOMIALS)
+           for root in (False, True) for inner in (False, True)}
+
+# PAIRING[n] is <m, m> for m = MONOMIALS[n] under the Koszul pairing: the
+# sign of m's arrangement, negated for the Left shape.  Its coordinates are
+# those of the Jacobi template psi(V_6, L) - psi(V_6, R), negated.
+PAIRING = tuple(Perm3(m.labels).sign() * (-1 if m.shape == LEFT else 1)
+                for m in MONOMIALS)
 
 
 def decompose_LR(x: Weight3Element) -> tuple[GroupVector, GroupVector]:

@@ -11,7 +11,7 @@ from operad_forge.foundation import full_space, kernel, span
 from operad_forge.group_module import PERM_BY_NAME, PERMS, GroupVector
 from operad_forge.operad_calculus import RelationModule
 from operad_forge.relation_dsl import VAR_LABELS, ParseError
-from operad_forge.tensor_closure import PAIR_KEYS, SWAP, apply_node_swaps
+from operad_forge.tensor_closure import PAIR_KEYS, SWAP
 from operad_forge.weight_spaces import (
     ACTION_TABLE,
     ANTICOMMUTATIVE,
@@ -23,8 +23,10 @@ from operad_forge.weight_spaces import (
     PROJECTION,
     REGULAR,
     RIGHT,
+    Monomial3,
     Weight3Element,
     act_vector,
+    apply_node_swaps,
 )
 
 ASSOCIATOR = (
@@ -157,6 +159,20 @@ def reference_expand(relation, product, sym_a=REGULAR, sym_b=REGULAR):
             ib, sb = proj_b[apply_node_swaps(m, root_b, inner_b).index]
             out[ia][ib] += c * a if sa == sb else -c * a
     return TensorElement3(sym_a, sym_b, tuple(tuple(row) for row in out))
+
+
+def reference_jacobiator_template():
+    """The Jacobi sum of nested commutators: [[a,b],c] expanded with
+    [x,y] = xy - yx at both nodes, summed over the cyclic arrangements."""
+    out = Weight3Element.zero(REGULAR)
+    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        base = Monomial3(LEFT, (a, b, c))
+        for root_swap in (False, True):
+            for inner_swap in (False, True):
+                sign = (-1 if root_swap else 1) * (-1 if inner_swap else 1)
+                m = apply_node_swaps(base, root_swap, inner_swap)
+                out = out + Weight3Element.monomial(m.shape, m.labels, sign)
+    return out
 
 
 def reference_act_tensor(sigma, t):

@@ -127,6 +127,10 @@ _LEIB = "x*(y*z) - (x*y)*z + (x*z)*y"
                  "'presentation[0].v'", id="presentation-v-number"),
     pytest.param({"relations": [_LEIB], "presentation": [{"v": "Id"}]},
                  "'presentation[0]' has no 'w'", id="presentation-no-w"),
+    pytest.param({"name": "typo", "symmetry": "regular", "relation": [_LEIB]},
+                 "error: unknown key 'relation' in an operad definition; it "
+                 "takes 'name', 'symmetry', 'relations' and 'presentation'",
+                 id="unknown-key"),
 ])
 def test_show_malformed_definition_exits_2(tmp_path, capsys, definition,
                                            field):
@@ -329,6 +333,24 @@ def test_instance_check_index_outside_basis_exits_2(tmp_path, capsys, entry,
     assert message in err
     assert "Traceback" not in err and err.count("\n") == 1
     assert len(err) < 200
+
+
+@pytest.mark.parametrize("instance,key", [
+    pytest.param({"dim": 2, "structur": [[1, 1, 2, "1"]]}, "'structur'",
+                 id="misspelled"),
+    pytest.param({"dim": 2, "structure": [], "name": "x"}, "'name'",
+                 id="extra"),
+    pytest.param({"k" * 100: 1, "dim": 2, "structure": []},
+                 "'" + "k" * 39 + "…", id="long"),
+])
+def test_instance_check_unknown_key_exits_2(tmp_path, capsys, instance, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(instance))
+    code, out, err = _run(capsys, "instance", "check", str(path),
+                          "--operad", "leib")
+    assert (code, out, err) == (
+        2, "", f"error: unknown key {key} in an instance; "
+        "it takes 'dim' and 'structure'\n")
 
 
 @pytest.mark.parametrize("dim", [2.7, True, 17])

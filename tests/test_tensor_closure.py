@@ -3,15 +3,20 @@ from fractions import Fraction
 from functools import cache, partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from operad_forge.cli import _FAMILY_SWEEP
 from operad_forge.foundation import full_space, kernel, span
 from operad_forge.group_module import PERMS, apply_idempotent
 from operad_forge.operad_calculus import (
+    PRESET_NAMES,
     QuadraticOperad,
     RelationModule,
     dual,
     orbit_span,
     presentation_of,
+    presented_relation,
     preset,
     regular_presets,
     tilde,
@@ -23,7 +28,6 @@ from operad_forge.tensor_closure import (
     PAIR_KEYS,
     MixedProduct,
     SWAP,
-    apply_node_swaps,
     bracket_antisymmetric,
     bracket_is_lie,
     closure_holds,
@@ -36,15 +40,18 @@ from operad_forge.tensor_closure import (
     twisted_poisson_check,
 )
 from operad_forge.weight_spaces import (
+    ACTION_TABLE,
     ANTICOMMUTATIVE,
     COMMUTATIVE,
     LEFT,
     MONOMIALS,
+    PAIRING,
     REGULAR,
     RIGHT,
     Monomial3,
     Weight3Element,
     act_vector,
+    apply_node_swaps,
     associator,
     lift,
     psi,
@@ -60,9 +67,11 @@ from conftest import (
     reference_act_tensor,
     reference_closure,
     reference_expand,
+    reference_jacobiator_template,
     reference_membership,
     reference_project,
 )
+from test_operad_calculus import _sparse_elements
 
 
 def test_apply_node_swaps():
@@ -320,6 +329,42 @@ def test_jacobiator_template_shape():
     # twelve signed terms, all coefficients +-1
     assert sum(1 for c in j.coords if c != 0) == 12
     assert all(abs(c) == 1 for c in j.coords if c != 0)
+    assert j == reference_jacobiator_template()
+    # the Lie-admissible relation, and the Koszul pairing's diagonal negated
+    lieadm = preset("lieadm")
+    assert [presented_relation(v, w, REGULAR)
+            for v, w in lieadm.presentation] == [j]
+    assert j.coords == tuple(-d for d in PAIRING)
+    # <sx, sy> = sgn(s) <x, y>, which makes every dual invariant
+    for sigma in PERMS:
+        assert tuple(s * PAIRING[i] for i, s in ACTION_TABLE[REGULAR, sigma]
+                     ) == tuple(sigma.sign() * d for d in PAIRING)
+
+
+def _bracket_companion(r):
+    """The least invariant S such that the bracket on A (x) B satisfies
+    Jacobi for every A with relations r and every S-algebra B: the orbit
+    span of the B-side residuals of the Jacobi template against a free B."""
+    residuals = leaks(jacobiator_template(), MixedProduct.bracket(), r,
+                      zero_module(REGULAR))
+    return orbit_span([Weight3Element(REGULAR, row) for _, row in residuals],
+                      REGULAR)
+
+
+def test_dual_is_the_minimal_bracket_companion():
+    operads = [preset(name) for name in PRESET_NAMES]
+    operads = [p for p in operads if p.symmetry is REGULAR]
+    operads += [preset(*spec) for spec in _FAMILY_SWEEP]
+    assert len(operads) == 32
+    for p in operads:
+        assert _bracket_companion(p.relations) == dual(p).relations, p.name
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(_sparse_elements(REGULAR), min_size=1, max_size=2))
+def test_dual_is_the_minimal_bracket_companion_on_orbit_spans(xs):
+    p = QuadraticOperad(REGULAR, orbit_span(xs, REGULAR))
+    assert _bracket_companion(p.relations) == dual(p).relations
 
 
 def test_bracket_is_lie_for_dual_pairs():
