@@ -17,6 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
@@ -72,6 +73,16 @@ class AlgebraInstance:
             for row in self.structure
         ):
             raise ValueError("structure constants have the wrong shape")
+
+    @cached_property
+    def _relations(self) -> RelationModule:
+        """Rel(A), computed on first use; see `algebra_relations`."""
+        columns = set()
+        for evals in _monomial_values(self).values():
+            for k in set().union(*evals):
+                columns.add(tuple(e.get(k, 0) for e in evals))
+        columns.discard((0,) * 12)
+        return RelationModule(REGULAR, kernel(span(columns, 12)))
 
     @classmethod
     def from_entries(cls, dim: int, entries, name=None) -> "AlgebraInstance":
@@ -240,14 +251,9 @@ def algebra_relations(alg: AlgebraInstance) -> RelationModule:
     (e_a, e_b, e_c).  All-zero and repeated columns leave that kernel
     unchanged, so they are dropped before the one elimination.  The set of
     basis triples is closed under permutation, so Rel(A) is
-    Sigma_3-invariant.
+    Sigma_3-invariant.  It is computed once per instance object.
     """
-    columns = set()
-    for evals in _monomial_values(alg).values():
-        for k in set().union(*evals):
-            columns.add(tuple(e.get(k, 0) for e in evals))
-    columns.discard((0,) * 12)
-    return RelationModule(REGULAR, kernel(span(columns, 12)))
+    return alg._relations
 
 
 def satisfies(alg: AlgebraInstance, r: RelationModule) -> bool:
@@ -256,11 +262,7 @@ def satisfies(alg: AlgebraInstance, r: RelationModule) -> bool:
     A symmetric-class module also needs the product to be (anti)commutative;
     its relations are then tested through their regular lifts.
     """
-    return _satisfied(alg, algebra_relations(alg), r)
-
-
-def _satisfied(alg: AlgebraInstance, rel: RelationModule,
-               r: RelationModule) -> bool:
+    rel = algebra_relations(alg)
     if r.symmetry is REGULAR:
         return r.space.is_subspace_of(rel.space)
     if commutativity_violations(alg, anti=r.symmetry is ANTICOMMUTATIVE):
@@ -381,8 +383,9 @@ def search_counterexample(r_a: RelationModule, r_b: RelationModule,
     random nilpotent structure constants; absence of a witness within the
     budget proves nothing.  The targets must be regular-class relations.
 
-    Each candidate's relation module Rel(A) is computed once and interned,
-    and each distinct (Rel(A), Rel(B)) pair is decided once by
+    Rel(A) is computed once per instance object, so once per process for
+    the catalog fixtures, and interned (a `Subspace` hashes by its integer
+    form).  Each distinct (Rel(A), Rel(B)) pair is decided once by
     `closure_holds`: the kernel of ev_A (x) ev_B is
     Rel(A) (x) Gamma + Gamma (x) Rel(B), so a target holds on A (x) B
     exactly when its expansion lies there, and no tensor product is built.
@@ -404,25 +407,14 @@ def search_counterexample(r_a: RelationModule, r_b: RelationModule,
     candidates_a = [a for a in _CATALOG.values() if a.dim <= max_dim]
     candidates_b = list(candidates_a)
     for _ in range(budget):
-        candidates_a.append(
-            _random_nilpotent(rng.randint(2, max_dim), rng, "random")
-        )
-        candidates_b.append(
-            _random_nilpotent(rng.randint(2, max_dim), rng, "random")
-        )
-    # The catalog fixtures are candidates on both sides; Rel(A) per object.
-    rels: dict[int, RelationModule] = {}
+        for candidates in (candidates_a, candidates_b):
+            candidates.append(
+                _random_nilpotent(rng.randint(2, max_dim), rng, "random"))
     ids: dict[RelationModule, int] = {}
 
     def accepted(candidates, r):
-        out = []
-        for alg in candidates:
-            if id(alg) not in rels:
-                rels[id(alg)] = algebra_relations(alg)
-            rel = rels[id(alg)]
-            if _satisfied(alg, rel, r):
-                out.append((alg, ids.setdefault(rel, len(ids))))
-        return out
+        return [(alg, ids.setdefault(algebra_relations(alg), len(ids)))
+                for alg in candidates if satisfies(alg, r)]
 
     lefts = accepted(candidates_a, r_a)
     rights = accepted(candidates_b, r_b)

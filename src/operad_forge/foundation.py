@@ -6,7 +6,7 @@ vector is scaled by a common denominator of its entries, rows are cleared
 fraction-free and divided by the gcd of their entries, and the results
 come back as the canonical `Fraction` reduced row-echelon form.
 Subspaces are kept in that form, which makes subspace equality plain value
-equality.
+equality; a subspace hashes by its cached integer form, not its Fractions.
 """
 
 from __future__ import annotations
@@ -168,7 +168,10 @@ class Subspace:
                 f"dimension mismatch: vector has length {len(v)}, "
                 f"ambient is {self.ambient_dim}"
             )
-        w, d = integer_row(v)
+        return self._integer_residue(*integer_row(v))
+
+    def _integer_residue(self, w: list[int], d: int) -> tuple[int, list]:
+        """`_residue` of the vector whose entries are w[i] / d."""
         pivots, c, columns = self._integer_form
         at_pivots = [w[p] for p in pivots]
         return c * d, [(j, c * w[j] - sum(map(mul, at_pivots, column)))
@@ -212,10 +215,18 @@ class Subspace:
         pivots = set(self.pivot_columns())
         return tuple(c for c in range(self.ambient_dim) if c not in pivots)
 
+    @cached_property
+    def _integer_rows(self) -> tuple:
+        return tuple(map(integer_row, self.basis))
+
+    def __hash__(self) -> int:  # equal bases have equal integer forms
+        return hash((self.ambient_dim, self._integer_form))
+
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("dimension mismatch")
-        return all(other.contains(b) for b in self.basis)
+        return not any(a for w, d in self._integer_rows
+                       for _, a in other._integer_residue(w, d)[1])
 
 
 def _pivot(row: Vector) -> int:

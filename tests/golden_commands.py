@@ -80,6 +80,13 @@ GOLDENS = {
         f"{_instance('poisson_heisenberg')} {_instance('comm_assoc_2d')} "
         "--twist poisson",
     ]),
+    # the default budget of 200: two searches that find no witness (ass x
+    # ass is closed, so its search is exhaustive) and one that finds one
+    "search_counterexample.txt": [
+        (f"search counterexample {line}".split(), code) for line, code in [
+            ("--p leib --q zinb --max-dim 2", 1),
+            ("--p ass --q ass --max-dim 2", 1),
+            ("--p poiss --q poiss --max-dim 3", 0)]],
 }
 
 

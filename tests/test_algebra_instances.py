@@ -16,7 +16,7 @@ from operad_forge.algebra_instances import (
     search_counterexample,
     tensor_instance,
 )
-from operad_forge.foundation import span
+from operad_forge.foundation import kernel, span
 from operad_forge.operad_calculus import (
     PRESET_NAMES,
     RelationModule,
@@ -270,18 +270,35 @@ def test_search_counterexample_finds_leibniz_witness():
 
 def test_search_computes_each_candidates_relations_once(monkeypatch):
     # The catalog fixtures are candidates on both sides; at max_dim 3 and
-    # budget 1 that is 8 fixtures and one random candidate per side.
-    calls = []
+    # budget 1 that is 8 fixtures and one random candidate per side.  Rel(A)
+    # is one kernel per instance object, cached on it, so a second search
+    # in the process computes it only for its own 2 random candidates.
+    catalog = algebra_instances._fixtures()  # a cold catalog
+    monkeypatch.setattr(algebra_instances, "_CATALOG", catalog)
+    kernels = []
 
-    def counted(alg):
-        calls.append(alg)
-        return algebra_relations(alg)
+    def counted(space):
+        kernels.append(space)
+        return kernel(space)
 
-    monkeypatch.setattr(algebra_instances, "algebra_relations", counted)
+    monkeypatch.setattr(algebra_instances, "kernel", counted)
     leib = preset("leib").relations
-    search_counterexample(leib, preset("zinb").relations,
-                          leib.basis_elements(), max_dim=3, seed=0, budget=1)
-    assert len(calls) == len({id(alg) for alg in calls}) == 10
+
+    def search(seed):
+        search_counterexample(leib, preset("zinb").relations,
+                              leib.basis_elements(), max_dim=3, seed=seed,
+                              budget=1)
+
+    fixtures = [a for a in catalog.values() if a.dim <= 3]
+    assert len(fixtures) == 8
+    search(0)
+    # the 8 fixtures, whose modules are now cached, and the 2 random ones
+    assert len(kernels) == 10
+    assert all("_relations" in vars(a) for a in fixtures)
+    modules = [algebra_relations(a) for a in fixtures]
+    search(1)
+    assert len(kernels) == 12
+    assert all(algebra_relations(a) is m for a, m in zip(fixtures, modules))
 
 
 def test_search_counterexample_zero_targets():

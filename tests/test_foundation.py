@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from operad_forge.foundation import (
     Subspace,
@@ -14,7 +16,7 @@ from operad_forge.foundation import (
     zero_vector,
 )
 
-from conftest import intersection
+from conftest import intersection, rationals
 
 
 def test_vec_coerces_mixed_inputs():
@@ -94,6 +96,55 @@ def test_is_subspace_of():
     big = span([[1, 0, 0], [0, 1, 0]], 3)
     assert small.is_subspace_of(big)
     assert not big.is_subspace_of(small)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        small.is_subspace_of(span([[1, 0]], 2))
+
+
+def _rows(n=4, max_rows=4):
+    return st.lists(st.lists(rationals(), min_size=n, max_size=n),
+                    max_size=max_rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_rows(), min_size=1, max_size=4),
+       st.lists(rationals().filter(bool), min_size=4, max_size=4),
+       st.randoms(use_true_random=False))
+def test_equal_subspaces_hash_equal_and_dedupe(spanning_sets, scales, rng):
+    spaces = []
+    for rows in spanning_sets:
+        rescaled = [[c * x for x in row] for c, row in zip(scales, rows)]
+        rng.shuffle(rescaled)
+        s, t = span(rows, 4), span(rescaled, 4)
+        assert s == t and hash(s) == hash(t)
+        assert len({s, t}) == 1 and len({s: 1, t: 2}) == 1
+        spaces += [s, t]
+    assert len(set(spaces)) == len({s.basis for s in spaces})
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rows(), st.lists(rationals(), min_size=4, max_size=4))
+def test_hash_ignores_warm_caches(rows, v):
+    s = span(rows, 4)
+    cold = Subspace(4, s.basis)
+    h = hash(cold)
+    cold.contains(vec(v))
+    cold.unit_residues
+    assert hash(cold) == h
+    warmed_first = Subspace(4, s.basis)
+    warmed_first.unit_residues
+    assert warmed_first.contains(vec(v)) == s.contains(vec(v))
+    assert hash(warmed_first) == h
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rows(), _rows())
+def test_is_subspace_of_matches_reduce_reference(rows_a, rows_b):
+    a, b = span(rows_a, 4), span(rows_b, 4)
+    both = span(rows_a + rows_b, 4)
+    for s, t in ((a, b), (b, a), (a, both), (both, a), (b, both), (a, a)):
+        want = all(not any(t.reduce(row)) for row in s.basis)
+        assert s.is_subspace_of(t) == want
+    assert a.is_subspace_of(both) and b.is_subspace_of(both)
 
 
 def test_full_space():

@@ -243,6 +243,21 @@ def test_caches_leave_value_hash_repr_and_fields_alone():
     assert p.relations.isotypic() is warm[1]
 
 
+def test_instance_cache_leaves_value_hash_repr_and_fields_alone():
+    for name in example_names():
+        fixture = example(name)
+        cold = algebra_instances.AlgebraInstance.from_entries(
+            fixture.dim, list(fixture.entries()), fixture.name)
+        before = _identity(cold)
+        assert cold == fixture and before == _identity(fixture)
+        assert "_relations" not in vars(cold)
+        warm = algebra_instances.algebra_relations(cold)
+        assert _identity(cold) == before and cold == fixture
+        assert algebra_instances.algebra_relations(cold) is warm
+        # the fixture's cached module equals a fresh computation
+        assert algebra_instances.algebra_relations(fixture) == warm
+
+
 def test_find_presentation_round_trip():
     for name in ("leib", "comm3"):
         p = preset(name)
