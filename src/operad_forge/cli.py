@@ -132,19 +132,24 @@ def _emit(report: Report, as_json: bool) -> int:
 # Input loading.
 
 
+def _load_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON input is nested too deeply") from None
+
+
 def _load_operad(token: str) -> QuadraticOperad:
     if token not in PRESET_NAMES and (
             os.path.exists(token) or token.endswith(".json")):
-        with open(token, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return operad_from_definition(data)
+        return operad_from_definition(_load_json(token))
     return preset(token)
 
 
 def _load_instance(path: str) -> AlgebraInstance:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return AlgebraInstance.from_json(data, name=os.path.basename(path))
+    return AlgebraInstance.from_json(_load_json(path),
+                                     name=os.path.basename(path))
 
 
 def _relations(report: Report, label: str, module: RelationModule) -> None:

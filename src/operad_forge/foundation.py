@@ -2,11 +2,12 @@
 
 Every result is exact: vectors hold `fractions.Fraction` entries, and no
 computation ever rounds.  The elimination itself runs on integers: each
-vector is scaled by a common denominator of its entries, rows are cleared
-fraction-free and divided by the gcd of their entries, and the results
-come back as the canonical `Fraction` reduced row-echelon form.
-Subspaces are kept in that form, which makes subspace equality plain value
-equality; a subspace hashes by its cached integer form, not its Fractions.
+vector is scaled by a common denominator of its entries, and rows are
+cleared fraction-free and divided by the gcd of their entries.  A subspace
+is stored as its integer RREF: c times the canonical reduced row-echelon
+form, c the least positive integer that makes it integral.  That form is
+unique, so subspace equality and hashing are plain value equality on ints;
+`Subspace.basis` is the `Fraction` view, built only when asked for.
 """
 
 from __future__ import annotations
@@ -58,24 +59,18 @@ def primitive(row: Sequence) -> Optional[tuple[int, ...]]:
     return tuple(a // g for a in ints)
 
 
-def _pivot_row(row: list[int], col: int) -> Vector:
-    """The integer row divided by its entry in the pivot column, as Fractions."""
-    p = row[col]
-    return tuple(ZERO if a == 0 else ONE if a == p else Fraction(a, p)
-                 for a in row)
-
-
-def rref(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
-    """Reduced row-echelon form; returns the nonzero rows (pivot entries 1).
+def rref(rows: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(c, rows): the nonzero rows of c times the reduced row-echelon form,
+    c the least positive integer that makes them integral.
 
     Each row is scaled to integers.  A row is cleared against the pivot row
     as p*row - f*pivot_row (p and f the two entries in the pivot column,
-    divided by their gcd), and then divided by the gcd of its entries.
-    Only the final pivot rows are divided by their pivot entry, so the
-    result is the unique RREF over Q.
+    divided by their gcd), and then divided by the gcd of its entries.  The
+    pivot rows are then scaled to the lcm of the pivot entries, so every
+    pivot entry is c, and divided by the gcd of all entries.
     """
     if not rows:
-        return []
+        return 1, ()
     ncols = len(rows[0])
     m = []
     for row in rows:
@@ -104,42 +99,60 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
         pivots.append(col)
         if len(pivots) == len(m):
             break
-    return [_pivot_row(m[r], col) for r, col in enumerate(pivots)]
+    c = lcm(*[m[r][col] for r, col in enumerate(pivots)])
+    m = [[x * (c // row[col]) for x in row] for row, col in zip(m, pivots)]
+    g = gcd(c, *[x for row in m for x in row])
+    return c // g, tuple(tuple(x // g for x in row) for row in m)
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Q^n, stored by its canonical RREF basis.
+    """A linear subspace of Q^n, stored as its canonical integer RREF.
 
-    Two Subspace values are equal as spaces iff they are equal as values.
-    The basis must already be in canonical RREF; construction checks it.
+    rows is denominator times the unique RREF basis over Q, and denominator
+    is the least positive integer that makes it integral, so every pivot
+    entry equals the denominator.  Two Subspace values are equal as spaces
+    iff they are equal as values.  Construction checks the canonical form.
     """
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    denominator: int
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = self.ambient_dim
-        for row in self.basis:
+        n, c = self.ambient_dim, self.denominator
+        if c < 1:
+            raise ValueError(f"denominator {c} is not positive")
+        for row in self.rows:
             if len(row) != n:
                 raise ValueError(
                     f"basis row has length {len(row)}, ambient is {n}")
-        pivots = self.pivot_columns()  # raises on a zero row
-        for i, (row, p) in enumerate(zip(self.basis, pivots)):
-            if row[p] != 1:
+            if not any(row):
+                raise ValueError("zero row has no pivot")
+        pivots = self.pivot_columns()
+        for i, (row, p) in enumerate(zip(self.rows, pivots)):
+            if row[p] != c:
                 raise ValueError(
-                    f"basis row {i} has leading entry {row[p]}, not 1")
+                    f"basis row {i} has leading entry {row[p]}, not the "
+                    f"denominator {c}")
             if i and p <= pivots[i - 1]:
                 raise ValueError("basis pivots do not strictly increase")
-        for i, p in enumerate(pivots):
-            if any(row[p] for row in self.basis[:i]):
+            if any(earlier[p] for earlier in self.rows[:i]):
                 raise ValueError(
                     f"basis is not reduced: pivot column {p} of row {i} "
                     f"is nonzero in an earlier row")
+        if gcd(c, *[a for row in self.rows for a in row]) != 1:
+            raise ValueError(f"denominator {c} is not the least possible")
+
+    @cached_property
+    def basis(self) -> tuple[Vector, ...]:
+        """The canonical RREF basis over Q: rows / denominator."""
+        c = self.denominator
+        return tuple(tuple(Fraction(a, c) for a in row) for row in self.rows)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def __contains__(self, v) -> bool:
         return self.contains(v)
@@ -168,38 +181,31 @@ class Subspace:
                 f"dimension mismatch: vector has length {len(v)}, "
                 f"ambient is {self.ambient_dim}"
             )
-        return self._integer_residue(*integer_row(v))
+        w, d = integer_row(v)
+        return self.denominator * d, self._integer_residue(w)
 
-    def _integer_residue(self, w: list[int], d: int) -> tuple[int, list]:
-        """`_residue` of the vector whose entries are w[i] / d."""
-        pivots, c, columns = self._integer_form
-        at_pivots = [w[p] for p in pivots]
-        return c * d, [(j, c * w[j] - sum(map(mul, at_pivots, column)))
-                       for j, column in columns]
+    def _integer_residue(self, w: Sequence[int]) -> list[tuple[int, int]]:
+        """[(j, a), ...]: denominator * reduce(w)[j] = a off the pivots."""
+        c = self.denominator
+        at_pivots = [w[p] for p in self.pivot_columns()]
+        return [(j, c * w[j] - sum(map(mul, at_pivots, column)))
+                for j, column in self._columns]
 
     @cached_property
-    def _integer_form(self) -> tuple:
-        """(pivots, c, columns), computed once per subspace.
-
-        c is a common denominator of the basis, and each non-pivot column j
-        appears in columns as (j, (c * b[j] for each basis row b)).
-        """
-        c = lcm(*[e.denominator for row in self.basis for e in row])
-        return self.pivot_columns(), c, tuple(
-            (j, tuple(b[j].numerator * (c // b[j].denominator)
-                      for b in self.basis))
-            for j in self.complement_columns()
-        )
+    def _columns(self) -> tuple:
+        """Each non-pivot column j as (j, (row[j] for each row)), once."""
+        return tuple((j, tuple(row[j] for row in self.rows))
+                     for j in self.complement_columns())
 
     @cached_property
     def unit_residues(self) -> tuple[int, tuple]:
         """(c, rows), once per subspace: reduce(e_k) is a / c at j for each
         (j, a) in rows[k].  A non-pivot unit is its own residue; the unit at
         the pivot of basis row i reduces to minus the rest of that row."""
-        pivots, c, columns = self._integer_form
+        c = self.denominator
         rows = [((k, c),) for k in range(self.ambient_dim)]
-        for i, p in enumerate(pivots):
-            rows[p] = tuple((j, -column[i]) for j, column in columns
+        for i, p in enumerate(self.pivot_columns()):
+            rows[p] = tuple((j, -column[i]) for j, column in self._columns
                             if column[i])
         return c, tuple(rows)
 
@@ -208,32 +214,19 @@ class Subspace:
 
     @cached_property
     def _pivots(self) -> tuple[int, ...]:
-        return tuple(_pivot(row) for row in self.basis)
+        return tuple(next(j for j, a in enumerate(row) if a)
+                     for row in self.rows)
 
     def complement_columns(self) -> tuple[int, ...]:
         """Standard coordinates spanning a complement (the non-pivot columns)."""
         pivots = set(self.pivot_columns())
         return tuple(c for c in range(self.ambient_dim) if c not in pivots)
 
-    @cached_property
-    def _integer_rows(self) -> tuple:
-        return tuple(map(integer_row, self.basis))
-
-    def __hash__(self) -> int:  # equal bases have equal integer forms
-        return hash((self.ambient_dim, self._integer_form))
-
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("dimension mismatch")
-        return not any(a for w, d in self._integer_rows
-                       for _, a in other._integer_residue(w, d)[1])
-
-
-def _pivot(row: Vector) -> int:
-    for i, e in enumerate(row):
-        if e != 0:
-            return i
-    raise ValueError("zero row has no pivot")
+        return not any(a for row in self.rows
+                       for _, a in other._integer_residue(row))
 
 
 def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
@@ -245,26 +238,25 @@ def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
                 f"dimension mismatch: vector has length {len(v)}, "
                 f"ambient is {ambient_dim}"
             )
-    return Subspace(ambient_dim, tuple(rref(vs)))
+    return Subspace(ambient_dim, *rref(vs))
 
 
 def full_space(ambient_dim: int) -> Subspace:
-    eye = [
-        tuple(ONE if i == j else ZERO for j in range(ambient_dim))
-        for i in range(ambient_dim)
-    ]
-    return Subspace(ambient_dim, tuple(eye))
+    eye = tuple(tuple(int(i == j) for j in range(ambient_dim))
+                for i in range(ambient_dim))
+    return Subspace(ambient_dim, 1, eye)
 
 
 def kernel(row_space: Subspace) -> Subspace:
-    """Kernel of the matrix whose rows are the RREF basis of row_space."""
+    """Kernel of the matrix whose rows are the RREF basis of row_space:
+    c * e_f - sum_i rows[i][f] * e_{p_i} for each non-pivot column f."""
     n = row_space.ambient_dim
     pivots = row_space.pivot_columns()
-    basis = []
+    vectors = []
     for f in row_space.complement_columns():
-        v = [ZERO] * n
-        v[f] = ONE
-        for row, p in zip(row_space.basis, pivots):
+        v = [0] * n
+        v[f] = row_space.denominator
+        for row, p in zip(row_space.rows, pivots):
             v[p] = -row[f]
-        basis.append(tuple(v))
-    return span(basis, n)
+        vectors.append(v)
+    return span(vectors, n)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable
 
 from .foundation import Subspace, Vector, span, vec
@@ -187,7 +186,7 @@ def apply_idempotent(kind: str, act: Action, v: Vector) -> Vector:
 
 def check_invariant(s: Subspace, act: Action) -> None:
     """Raise unless s is invariant; t12 and t23 generate the group."""
-    for b in s.basis:
+    for b in s.rows:
         for p in (T12, T23):
             if not s.contains(act(p, b)):
                 raise ValueError(
@@ -201,21 +200,19 @@ def isotypic_multiplicities(s: Subspace, act: Action) -> IsotypicProfile:
 
     They come from the character of s.  The basis is in RREF, so the
     coordinate of act(p, b_i) along b_i is its entry in the pivot column
-    of b_i, and chi(p) sums those entries.  The class sizes of Id, the
-    transpositions and the 3-cycles are 1, 3 and 2.
+    of b_i, and chi(p) sums those entries (times the denominator, on the
+    integer rows).  The class sizes of Id, the transpositions and the
+    3-cycles are 1, 3 and 2.
     """
     check_invariant(s, act)
-    pivots = s.pivot_columns()
+    pivots, den = s.pivot_columns(), s.denominator
 
     def chi(p: Perm3) -> int:
-        # a sum of Fractions, added as integers over their common denominator
-        entries = [act(p, b)[i] for b, i in zip(s.basis, pivots)]
-        d = lcm(*[x.denominator for x in entries])
-        n = sum(x.numerator * (d // x.denominator) for x in entries)
-        if n % d:
-            raise ValueError(f"character value {Fraction(n, d)} on "
+        n = sum(act(p, b)[i] for b, i in zip(s.rows, pivots))
+        if n % den:
+            raise ValueError(f"character value {Fraction(n, den)} on "
                              f"{p.name} is not an integer")
-        return n // d
+        return n // den
 
     e, t, c = s.dim, chi(T12), chi(C1)
     sixfold = (e + 3 * t + 2 * c, e - 3 * t + 2 * c, 2 * e - 2 * c)

@@ -197,7 +197,7 @@ def dual(p: QuadraticOperad) -> QuadraticOperad:
         diag, target = (1, 1, 1), _SYMMETRIC_DUAL_CLASS[p.symmetry]
     # v orthogonal to basis b:  sum_m v_m * diag_m * b_m = 0.
     rows = [tuple(b_m * d for b_m, d in zip(b, diag))
-            for b in p.relations.space.basis]
+            for b in p.relations.space.rows]
     rel = RelationModule(target, kernel(span(rows, p.symmetry.dim)))
     name = f"dual({p.name})" if p.name else None
     return QuadraticOperad(target, rel, None, name)
@@ -253,13 +253,13 @@ def _random_generators(r: RelationModule, k: int,
 
     The coefficients are integers in -9..9, drawn generator by generator.
     """
-    basis = r.basis_elements()
+    s = r.space
     gens = []
     for _ in range(k):
-        g = Weight3Element.zero(r.symmetry)
-        for b in basis:
-            g = g + b.scaled(Fraction(rng.randint(-9, 9)))
-        gens.append(g)
+        ks = [rng.randint(-9, 9) for _ in s.rows]
+        gens.append(Weight3Element(r.symmetry, tuple(
+            Fraction(sum(a * row[j] for a, row in zip(ks, s.rows)),
+                     s.denominator) for j in range(s.ambient_dim))))
     return gens if orbit_span(gens, r.symmetry).space == r.space else None
 
 

@@ -1,15 +1,26 @@
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from hypothesis import strategies as st
 
 from operad_forge import algebra_instances
 from operad_forge.algebra_instances import AlgebraInstance, Violation
 from operad_forge.foundation import full_space, kernel, span
-from operad_forge.group_module import PERM_BY_NAME, PERMS, GroupVector
-from operad_forge.operad_calculus import RelationModule
+from operad_forge.group_module import (
+    C1,
+    PERM_BY_NAME,
+    PERMS,
+    T12,
+    GroupVector,
+    IsotypicProfile,
+    check_invariant,
+)
+from operad_forge import operad_calculus
+from operad_forge.operad_calculus import RelationModule, orbit_span, rank
 from operad_forge.relation_dsl import VAR_LABELS, ParseError
 from operad_forge.tensor_closure import PAIR_KEYS, SWAP
 from operad_forge.weight_spaces import (
@@ -27,6 +38,7 @@ from operad_forge.weight_spaces import (
     Weight3Element,
     act_vector,
     apply_node_swaps,
+    decompose_LR,
 )
 
 ASSOCIATOR = (
@@ -510,3 +522,58 @@ def reference_parse_group_vector(text):
     for coeff, p in terms:
         out = out + GroupVector.basis(p).scaled(coeff)
     return out
+
+
+# --- presentations and characters before the integer RREF --------------------
+
+
+def reference_random_generators(r, k, rng):
+    """`_random_generators` when subspaces held Fraction bases: each
+    generator a Fraction sum of basis elements scaled by integers in -9..9."""
+    basis = r.basis_elements()
+    gens = []
+    for _ in range(k):
+        g = Weight3Element.zero(r.symmetry)
+        for b in basis:
+            g = g + b.scaled(Fraction(rng.randint(-9, 9)))
+        gens.append(g)
+    return gens if orbit_span(gens, r.symmetry).space == r.space else None
+
+
+def reference_find_presentation(p, seed=0):
+    """`find_presentation` over `reference_random_generators`."""
+    k = rank(p.relations)
+    if k == 0:
+        return []
+    rng = random.Random(seed)
+    for _ in range(operad_calculus._PRESENTATION_TRIES):
+        gens = reference_random_generators(p.relations, k, rng)
+        if gens is not None:
+            return [decompose_LR(operad_calculus._equivariant_lift(g))
+                    for g in gens]
+    raise RuntimeError("no generating set found within the retry budget")
+
+
+def reference_character_multiplicities(s, act):
+    """`isotypic_multiplicities` when subspaces held Fraction bases: each
+    character value a sum of Fraction pivot entries of act(p, b) over the
+    basis b, added as integers over their least common denominator."""
+    check_invariant(s, act)
+
+    def chi(p):
+        entries = [act(p, b)[i] for b, i in zip(s.basis, s.pivot_columns())]
+        d = lcm(*[x.denominator for x in entries])
+        n = sum(x.numerator * (d // x.denominator) for x in entries)
+        if n % d:
+            raise ValueError(f"character value {Fraction(n, d)} on "
+                             f"{p.name} is not an integer")
+        return n // d
+
+    e, t, c = s.dim, chi(T12), chi(C1)
+    sixfold = (e + 3 * t + 2 * c, e - 3 * t + 2 * c, 2 * e - 2 * c)
+    if any(n % 6 or n < 0 for n in sixfold):
+        raise ValueError(
+            f"character ({e}, {t}, {c}) on (Id, t12, c1) is not a "
+            f"character of the symmetric group"
+        )
+    return IsotypicProfile(*(n // 6 for n in sixfold))

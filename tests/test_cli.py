@@ -106,6 +106,21 @@ def test_show_relation_parse_error_exits_2(tmp_path, capsys, relation,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["show", "{path}"], id="operad"),
+    pytest.param(["verify", "negative", "--p", "{path}", "--q", "zinb"],
+                 id="operad-negative"),
+    pytest.param(["instance", "check", "{path}", "--operad", "ass"],
+                 id="instance"),
+])
+def test_deeply_nested_json_file_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = _run(capsys, *[a.format(path=path) for a in argv])
+    assert (code, out, err) == (
+        2, "", "error: JSON input is nested too deeply\n")
+
+
 _LEIB = "x*(y*z) - (x*y)*z + (x*z)*y"
 
 

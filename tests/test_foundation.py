@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -62,11 +63,15 @@ def test_primitive_row(row, want):
 def test_rref_canonical_form():
     rows = rref([vec([2, 4, 6]), vec([1, 2, 3]), vec([0, 1, 1])])
     # pivots are 1, entries above and below pivots are cleared
-    assert rows == [vec([1, 0, 1]), vec([0, 1, 1])]
+    assert rows == (1, ((1, 0, 1), (0, 1, 1)))
+    # the RREF rows (1, 0, -1/6) and (0, 1, 1/3) times their least
+    # common denominator
+    assert rref([[2, 1, 0], [0, 3, 1]]) == (6, ((6, 0, -1), (0, 6, 2)))
 
 
 def test_rref_drops_zero_rows():
-    assert rref([vec([0, 0]), vec([0, 0])]) == []
+    assert rref([vec([0, 0]), vec([0, 0])]) == (1, ())
+    assert rref([]) == (1, ())
 
 
 def test_span_is_order_independent():
@@ -116,6 +121,7 @@ def test_equal_subspaces_hash_equal_and_dedupe(spanning_sets, scales, rng):
         rng.shuffle(rescaled)
         s, t = span(rows, 4), span(rescaled, 4)
         assert s == t and hash(s) == hash(t)
+        assert (s.denominator, s.rows) == (t.denominator, t.rows)
         assert len({s, t}) == 1 and len({s: 1, t: 2}) == 1
         spaces += [s, t]
     assert len(set(spaces)) == len({s.basis for s in spaces})
@@ -125,12 +131,12 @@ def test_equal_subspaces_hash_equal_and_dedupe(spanning_sets, scales, rng):
 @given(_rows(), st.lists(rationals(), min_size=4, max_size=4))
 def test_hash_ignores_warm_caches(rows, v):
     s = span(rows, 4)
-    cold = Subspace(4, s.basis)
+    cold = Subspace(4, s.denominator, s.rows)
     h = hash(cold)
     cold.contains(vec(v))
     cold.unit_residues
     assert hash(cold) == h
-    warmed_first = Subspace(4, s.basis)
+    warmed_first = Subspace(4, s.denominator, s.rows)
     warmed_first.unit_residues
     assert warmed_first.contains(vec(v)) == s.contains(vec(v))
     assert hash(warmed_first) == h
@@ -197,7 +203,7 @@ def _reference_intersection(s: Subspace, t: Subspace) -> Subspace:
     members = [
         [sum((c * b[k] for c, b in zip(row[n:], s.basis)), Fraction(0))
          for k in range(n)]
-        for row in rref(aug) if not any(row[:n])
+        for row in _reference_rref(aug) if not any(row[:n])
     ]
     return span(members, n)
 
@@ -221,26 +227,37 @@ def test_intersection_matches_augmented_rref_reference():
     assert proper > 50
 
 
-@pytest.mark.parametrize("basis,message", [
-    pytest.param([vec([1, 0])], "length 2, ambient is 3", id="length"),
-    pytest.param([vec([0, 0, 0])], "zero row", id="zero-row"),
-    pytest.param([vec([0, 2, 0])], "leading entry 2, not 1", id="leading"),
-    pytest.param([vec([0, 1, 0]), vec([1, 0, 0])], "strictly increase",
+@pytest.mark.parametrize("denominator,rows,message", [
+    pytest.param(1, [(1, 0)], "length 2, ambient is 3", id="length"),
+    pytest.param(1, [(0, 0, 0)], "zero row", id="zero-row"),
+    pytest.param(1, [(0, 2, 0)], "leading entry 2, not the denominator 1",
+                 id="leading"),
+    pytest.param(1, [(0, 1, 0), (1, 0, 0)], "strictly increase",
                  id="pivot-order"),
-    pytest.param([vec([1, 0, 0]), vec([1, 1, 0])], "strictly increase",
+    pytest.param(1, [(1, 0, 0), (1, 1, 0)], "strictly increase",
                  id="repeated-pivot"),
-    pytest.param([vec([1, 3, 0]), vec([0, 1, 0])], "not reduced",
+    pytest.param(1, [(1, 3, 0), (0, 1, 0)], "not reduced",
                  id="pivot-column"),
+    # 2 * (1, 2, 0): the RREF is already integral, so the least c is 1
+    pytest.param(2, [(2, 4, 0)], "denominator 2 is not the least",
+                 id="non-least-denominator"),
+    pytest.param(0, [], "denominator 0 is not positive",
+                 id="zero-denominator"),
+    pytest.param(-1, [(-1, 0, 0)], "denominator -1 is not positive",
+                 id="negative-denominator"),
 ])
-def test_subspace_requires_canonical_rref(basis, message):
+def test_subspace_requires_canonical_rref(denominator, rows, message):
     with pytest.raises(ValueError, match=message):
-        Subspace(3, tuple(basis))
+        Subspace(3, denominator, tuple(rows))
 
 
 def test_subspace_accepts_canonical_rref():
-    s = Subspace(3, (vec([1, 5, 0]), vec([0, 0, 1])))
+    s = Subspace(3, 1, ((1, 5, 0), (0, 0, 1)))
     assert s == span([[1, 5, 1], [0, 0, 2]], 3)
-    assert Subspace(3, ()) == span([], 3)
+    assert Subspace(3, 1, ()) == span([], 3)
+    t = Subspace(3, 6, ((6, 0, -1), (0, 6, 2)))
+    assert t == span([[2, 1, 0], [0, 3, 1]], 3)
+    assert t.basis == (vec([1, 0, "-1/6"]), vec([0, 1, "1/3"]))
 
 
 # The elimination kernel before it ran on integers: Fraction-per-entry
@@ -321,11 +338,15 @@ def test_rref_and_reduce_match_fraction_reference(ncols):
     ranks = set()
     for _ in range(150):
         rows = _rank_deficient_rows(rng, rng.randint(0, 18), ncols)
-        got = rref(rows)
-        assert got == _reference_rref(rows)
-        assert all(type(e) is Fraction for row in got for e in row)
-        ranks.add(len(got))
         s = span(rows, ncols)
+        want = _reference_rref(rows)
+        assert list(s.basis) == want
+        assert all(type(e) is Fraction for row in s.basis for e in row)
+        # the integer form is the RREF times its least common denominator
+        assert rref(rows) == (s.denominator, s.rows)
+        assert s.denominator == lcm(*[e.denominator for row in want
+                                      for e in row])
+        ranks.add(s.dim)
         for v in ([_entry(rng) for _ in range(ncols)],
                   [0] * ncols,
                   rows[0] if rows else [1] * ncols):

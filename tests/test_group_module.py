@@ -27,7 +27,7 @@ from operad_forge.group_module import (
 )
 from operad_forge.foundation import full_space, span
 
-from conftest import group_vectors
+from conftest import group_vectors, reference_character_multiplicities
 
 
 def _translate(p, v):
@@ -170,8 +170,9 @@ def test_characters_match_idempotents_on_group_algebra_submodules():
     spaces = _invariant_subspaces_of_the_group_algebra()
     assert {t.dim for t in spaces} == set(range(7))
     for t in spaces:
-        assert isotypic_multiplicities(t, _translate) == \
-            reference_isotypic_multiplicities(t, _translate)
+        got = isotypic_multiplicities(t, _translate)
+        assert got == reference_isotypic_multiplicities(t, _translate)
+        assert got == reference_character_multiplicities(t, _translate)
 
 
 @pytest.mark.parametrize("basis", [

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from operad_forge import algebra_instances
+from operad_forge.cli import _FAMILY_SWEEP
 from operad_forge.foundation import full_space, span
 from operad_forge.group_module import (
     PERMS,
@@ -52,7 +53,15 @@ from operad_forge.weight_spaces import (
     psi,
 )
 
-from conftest import act, comb_in, example, example_names, full_module
+from conftest import (
+    act,
+    comb_in,
+    example,
+    example_names,
+    full_module,
+    reference_character_multiplicities,
+    reference_find_presentation,
+)
 from test_group_module import reference_isotypic_multiplicities
 from test_weight_spaces import reference_psi
 
@@ -204,8 +213,8 @@ def test_definition_whose_presentation_misses_the_relations_is_rejected():
                 "presentation": [{"v": v, "w": w}]})
 
 
-def _stripped(name: str) -> QuadraticOperad:
-    p = preset(name)
+def _stripped(name: str, *params) -> QuadraticOperad:
+    p = preset(name, *params)
     return QuadraticOperad(p.symmetry, p.relations, None, p.name)
 
 
@@ -278,6 +287,18 @@ def test_find_presentation_symmetric_class():
 def test_find_presentation_zero_module():
     p = QuadraticOperad(REGULAR, zero_module(REGULAR))
     assert find_presentation(p) == []
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_find_presentation_matches_fraction_sum_reference(seed):
+    operads = [_stripped(name) for name in PRESET_NAMES
+               if preset(name).symmetry is REGULAR]
+    operads += [_stripped(*spec) for spec in _FAMILY_SWEEP]
+    assert len(operads) == 32
+    for p in operads:
+        got = find_presentation(p, seed=seed)
+        want = reference_find_presentation(p, seed=seed)
+        assert got == want and repr(got) == repr(want), p.name
 
 
 def test_family_excluded_parameters():
@@ -463,6 +484,7 @@ def _assert_tilde_matches_reference(q: QuadraticOperad, seed: int):
 def _assert_isotypic_matches_reference(r: RelationModule):
     act = partial(act_vector, r.symmetry)
     assert r.isotypic() == reference_isotypic_multiplicities(r.space, act)
+    assert r.isotypic() == reference_character_multiplicities(r.space, act)
 
 
 def _assert_tables_match_references(p: QuadraticOperad, seeds=(0, 1, 2)):
