@@ -7,7 +7,7 @@ from math import lcm
 
 from hypothesis import strategies as st
 
-from operad_forge import algebra_instances
+from operad_forge import algebra_instances, operad_calculus
 from operad_forge.algebra_instances import AlgebraInstance, Violation
 from operad_forge.foundation import full_space, kernel, span
 from operad_forge.group_module import (
@@ -19,7 +19,6 @@ from operad_forge.group_module import (
     IsotypicProfile,
     check_invariant,
 )
-from operad_forge import operad_calculus
 from operad_forge.operad_calculus import RelationModule, orbit_span, rank
 from operad_forge.relation_dsl import VAR_LABELS, ParseError
 from operad_forge.tensor_closure import PAIR_KEYS, SWAP
