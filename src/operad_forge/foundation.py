@@ -35,12 +35,8 @@ def zero_vector(n: int) -> Vector:
 
 
 def integer_row(row: Sequence) -> tuple[list[int], int]:
-    """(numerators, d): the entries of row are numerators[i] / d.
-
-    d is the least common denominator.  Entries that are not already an
-    int or a Fraction (strings, for instance) are converted by `Fraction`.
-    """
-    row = [e if isinstance(e, (int, Fraction)) else Fraction(e) for e in row]
+    """(numerators, d): the int or Fraction entries of row are
+    numerators[i] / d, d the least common denominator."""
     d = lcm(*[e.denominator for e in row])
     if d == 1:
         return [e.numerator for e in row], 1
@@ -153,9 +149,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def __contains__(self, v) -> bool:
-        return self.contains(v)
 
     def contains(self, v: Vector) -> bool:
         _, residue = self._residue(v)

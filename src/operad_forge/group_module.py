@@ -93,38 +93,13 @@ class GroupVector:
     def basis(cls, p: Perm3) -> "GroupVector":
         return cls.from_dict({p: Fraction(1)})
 
-    @classmethod
-    def zero(cls) -> "GroupVector":
-        return cls(vec([0] * 6))
-
     def __getitem__(self, p: Perm3) -> Fraction:
         return self.coeffs[PERM_INDEX[p]]
-
-    def __add__(self, other: "GroupVector") -> "GroupVector":
-        return GroupVector(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "GroupVector") -> "GroupVector":
-        return GroupVector(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "GroupVector":
-        return GroupVector(tuple(-a for a in self.coeffs))
-
-    def scaled(self, c) -> "GroupVector":
-        c = Fraction(c)
-        return GroupVector(tuple(c * a for a in self.coeffs))
 
     def translate(self, p: Perm3) -> "GroupVector":
         """Left translation p·v, the natural action on the group algebra."""
         out = {p * q: self[q] for q in PERMS}
         return GroupVector.from_dict(out)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
-
-    def __str__(self):
-        from .relation_dsl import format_group_vector
-
-        return format_group_vector(self)
 
 
 def group_vector(*terms) -> GroupVector:
@@ -164,10 +139,6 @@ class IsotypicProfile:
     m_triv: int
     m_sgn: int
     m_std: int
-
-    @property
-    def dim(self) -> int:
-        return self.m_triv + self.m_sgn + 2 * self.m_std
 
 
 def apply_idempotent(kind: str, act: Action, v: Vector) -> Vector:

@@ -358,20 +358,6 @@ def _associator_sum(coeffs: dict[tuple[int, int, int], Fraction]
     return gen
 
 
-def _comm3() -> QuadraticOperad:
-    # Associative with fully symmetric triple products: all 12 monomials are
-    # identified, so the module is 11-dimensional.
-    gens = [
-        associator((1, 2, 3)),
-        Weight3Element.monomial(LEFT, (1, 2, 3))
-        - Weight3Element.monomial(LEFT, (2, 1, 3)),
-        Weight3Element.monomial(LEFT, (1, 2, 3))
-        - Weight3Element.monomial(LEFT, (1, 3, 2)),
-    ]
-    rel = orbit_span(gens, REGULAR)
-    return QuadraticOperad(REGULAR, rel, None, "comm3")
-
-
 def family_ab(alpha, beta) -> QuadraticOperad:
     """The two-parameter Lie-admissible family; (1,1) is excluded."""
     alpha, beta = Fraction(alpha), Fraction(beta)
@@ -419,7 +405,11 @@ _PRESETS = {
     "lieadm": partial(_subgroup, subgroup_alternating, 6, "lieadm"),
     "p3ass": partial(_subgroup, subgroup_symmetric, 6, "p3ass"),
     "com": partial(_presented, COMMUTATIVE, ((_UNIT, _UNIT),), "com"),
-    "comm3": _comm3,
+    # Associative with fully symmetric triple products: all 12 monomials
+    # are identified, so the module is 11-dimensional.
+    "comm3": lambda: QuadraticOperad(REGULAR, orbit_span(map(parse_relation, (
+        "A(x,y,z)", "(x*y)*z - (y*x)*z", "(x*y)*z - (x*z)*y"))), None,
+        "comm3"),
     "leib": partial(_presented, REGULAR,
                     ((group_vector((1, ID), (-1, T23)), _UNIT),), "leib"),
     "lie": partial(_presented, ANTICOMMUTATIVE, ((_CYCLIC, _CYCLIC),), "lie"),

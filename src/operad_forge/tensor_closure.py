@@ -40,6 +40,7 @@ from .operad_calculus import (
     zero_module,
 )
 from .weight_spaces import (
+    COMMUTATIVE,
     MONOMIALS,
     PROJECTION,
     REGULAR,
@@ -214,8 +215,13 @@ def lift_closure(p: QuadraticOperad, r_b: RelationModule
     is the comb coordinate of m itself, while the A side is m's own
     coordinate up to a sign that depends only on the swaps; so a regular
     element that projects to 0 expands into 0 under any mixed product, and
-    every lift gives the same verdict.
+    every lift gives the same verdict.  Against any other R_B the verdict
+    depends on the lift, so a symmetric P is refused there.
     """
+    if p.symmetry is not REGULAR and r_b.symmetry is not COMMUTATIVE:
+        raise ValueError(
+            f"a {p.symmetry.value} P is decided through lifts only against "
+            f"a comm R_B, got {r_b.symmetry.value}")
     return closure_holds(
         p.relations, r_b, MixedProduct.identity(),
         [lift(x) for x in p.relations.basis_elements()],

@@ -101,10 +101,10 @@ class Weight3Element:
         return cls(symmetry, zero_vector(symmetry.dim))
 
     @classmethod
-    def monomial(cls, shape: str, labels, coeff=1) -> "Weight3Element":
+    def monomial(cls, shape: str, labels) -> "Weight3Element":
         m = Monomial3(shape, tuple(labels))
         coords = [Fraction(0)] * 12
-        coords[m.index] = Fraction(coeff)
+        coords[m.index] = Fraction(1)
         return cls(REGULAR, tuple(coords))
 
     def _check_same(self, other: "Weight3Element"):
@@ -123,20 +123,12 @@ class Weight3Element:
             self.symmetry, tuple(a - b for a, b in zip(self.coords, other.coords))
         )
 
-    def __neg__(self) -> "Weight3Element":
-        return Weight3Element(self.symmetry, tuple(-a for a in self.coords))
-
     def scaled(self, c) -> "Weight3Element":
         c = Fraction(c)
         return Weight3Element(self.symmetry, tuple(c * a for a in self.coords))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
-
-    def __str__(self):
-        from .relation_dsl import format_weight3
-
-        return format_weight3(self)
 
 
 def act_monomial(sigma: Perm3, m: Monomial3) -> Monomial3:

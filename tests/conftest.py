@@ -21,7 +21,7 @@ from operad_forge.group_module import (
 )
 from operad_forge.operad_calculus import RelationModule, orbit_span, rank
 from operad_forge.relation_dsl import VAR_LABELS, ParseError
-from operad_forge.tensor_closure import PAIR_KEYS, SWAP
+from operad_forge.tensor_closure import PAIR_KEYS, SWAP, leaks
 from operad_forge.weight_spaces import (
     ACTION_TABLE,
     ANTICOMMUTATIVE,
@@ -75,6 +75,21 @@ def act(sigma, x):
 def intersection(s, t):
     """S ∩ T = (S^⊥ + T^⊥)^⊥."""
     return kernel(span(kernel(s).basis + kernel(t).basis, s.ambient_dim))
+
+
+def white_product(r_a, r_b, product):
+    """W_mu(R_A, R_B), the arity-3 white product (Ginzburg-Kapranov 1994,
+    Vallette 2008): the kernel of the residuals of the 12 unit monomials,
+    flattened."""
+    dim_b = r_b.symmetry.dim
+    rows = []
+    for m in MONOMIALS:
+        flat = [Fraction(0)] * (12 * dim_b)
+        for i, row in leaks(Weight3Element.monomial(m.shape, m.labels),
+                            product, r_a, r_b):
+            flat[i * dim_b:(i + 1) * dim_b] = row
+        rows.append(flat)
+    return kernel(span(zip(*rows), 12))
 
 
 def full_module(symmetry):
@@ -182,7 +197,8 @@ def reference_jacobiator_template():
             for inner_swap in (False, True):
                 sign = (-1 if root_swap else 1) * (-1 if inner_swap else 1)
                 m = apply_node_swaps(base, root_swap, inner_swap)
-                out = out + Weight3Element.monomial(m.shape, m.labels, sign)
+                out = out + Weight3Element.monomial(m.shape, m.labels).scaled(
+                    sign)
     return out
 
 
@@ -517,10 +533,11 @@ def reference_parse_group_vector(text):
         return PERM_BY_NAME[tok.text]
 
     terms = parser.signed_terms(perm)
-    out = GroupVector.zero()
+    out = (Fraction(0),) * 6
     for coeff, p in terms:
-        out = out + GroupVector.basis(p).scaled(coeff)
-    return out
+        out = tuple(a + coeff * b
+                    for a, b in zip(out, GroupVector.basis(p).coeffs))
+    return GroupVector(out)
 
 
 # --- presentations and characters before the integer RREF --------------------

@@ -49,7 +49,7 @@ def test_vector_dimension_mismatch():
     pytest.param([4, -6, 0, 10], (2, -3, 0, 5), id="common-factor"),
     pytest.param([0, -4, 6], (0, 2, -3), id="negative-lead-and-factor"),
     pytest.param([Fraction(-1, 2), Fraction(1, 3)], (3, -2), id="fractions"),
-    pytest.param(["0", "2/3", "-1/6"], (0, 4, -1), id="strings"),
+    pytest.param(vec(["0", "2/3", "-1/6"]), (0, 4, -1), id="strings"),
     pytest.param([1, 0, -1], (1, 0, -1), id="already-primitive"),
 ])
 def test_primitive_row(row, want):
@@ -215,7 +215,8 @@ def test_intersection_matches_augmented_rref_reference():
         n = rng.randint(1, 7)
 
         def rows(count):
-            return [[rng.choice([0, 0, 1, -1, 2, "1/2"]) for _ in range(n)]
+            return [[rng.choice([0, 0, 1, -1, 2, Fraction(1, 2)])
+                     for _ in range(n)]
                     for _ in range(count)]
 
         common = rows(rng.randint(0, 2))
@@ -312,8 +313,9 @@ DENOMINATORS = (1, 1, 1, 2, 3, 7, 10007, 65537, 2 ** 31 - 1, 999983 * 7919)
 
 def _entry(rng):
     x = Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
-    # the kernel takes ints, strings and Fractions alike
-    return rng.choice([x, str(x), x.numerator if x.denominator == 1 else x])
+    # the kernel takes ints and Fractions alike; three choices keep the
+    # seeded draws, and so the ranks each test reaches, as they are
+    return rng.choice([x, x, x.numerator if x.denominator == 1 else x])
 
 
 def _rank_deficient_rows(rng, nrows, ncols):
@@ -325,9 +327,9 @@ def _rank_deficient_rows(rng, nrows, ncols):
                   for _ in gens]
         row = [sum((c * Fraction(g[j]) for c, g in zip(coeffs, gens)),
                    Fraction(0)) for j in range(ncols)]
-        forms = [row, [str(e) for e in row]]
+        forms = [row, list(row)]  # two forms keep the seeded draws
         if gens:
-            forms.append(gens[0])  # ints, strings and Fractions mixed
+            forms.append(gens[0])  # ints and Fractions mixed
         rows.append(rng.choice(forms))
     return rows
 
@@ -356,7 +358,6 @@ def test_rref_and_reduce_match_fraction_reference(ncols):
             assert got == want
             assert all(type(e) is Fraction for e in got)
             assert s.contains(v) == (not any(want))
-            assert (v in s) == (not any(want))
     # every rank from 0 to the full ambient dimension occurs
     assert ranks == set(range(ncols + 1))
 

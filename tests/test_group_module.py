@@ -98,7 +98,6 @@ def test_generic_orbit_is_everything():
 def test_isotypic_of_group_algebra():
     profile = isotypic_multiplicities(full_space(6), _translate)
     assert profile == IsotypicProfile(1, 1, 2)
-    assert profile.dim == 6
 
 
 def test_isotypic_rejects_non_invariant_space():
@@ -114,8 +113,8 @@ def test_central_idempotents_of_the_identity():
     triv = apply_idempotent("triv", _translate, e)
     sgn = apply_idempotent("sgn", _translate, e)
     std = apply_idempotent("std", _translate, e)
-    assert triv == subgroup_symmetric(6).scaled(Fraction(1, 6)).coeffs
-    assert sgn == subgroup_alternating(6).scaled(Fraction(1, 6)).coeffs
+    assert triv == tuple(c / 6 for c in subgroup_symmetric(6).coeffs)
+    assert sgn == tuple(c / 6 for c in subgroup_alternating(6).coeffs)
     assert std == tuple(a - b - c for a, b, c in zip(e, triv, sgn))
     assert std == group_vector(
         ("2/3", ID), ("-1/3", C1), ("-1/3", C2)
@@ -177,10 +176,10 @@ def test_characters_match_idempotents_on_group_algebra_submodules():
 
 @pytest.mark.parametrize("basis", [
     # t12 fixes Id + t12, but t23 moves it
-    pytest.param([GroupVector.basis(ID) + GroupVector.basis(T12)],
+    pytest.param([group_vector((1, ID), (1, T12))],
                  id="t12-only"),
     # t23 fixes Id + t23, but t12 moves it
-    pytest.param([GroupVector.basis(ID) + GroupVector.basis(T23)],
+    pytest.param([group_vector((1, ID), (1, T23))],
                  id="t23-only"),
     # the 3-cycles fix Id + c1 + c2, but no transposition does
     pytest.param([group_vector((1, ID), (1, C1), (1, C2))], id="A3-only"),

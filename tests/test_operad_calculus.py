@@ -76,7 +76,7 @@ def test_orbit_span_alternating_sum_is_one_dimensional():
     x = Weight3Element.zero(REGULAR)
     from operad_forge.group_module import PERMS
 
-    base = -associator((1, 2, 3))
+    base = associator((1, 2, 3)).scaled(-1)
     for sigma in PERMS:
         x = x + act(sigma, base).scaled(sigma.sign())
     assert orbit_span([x]).dim == 1

@@ -50,14 +50,14 @@ def test_parse_numbered_variables():
 
 def test_parse_coefficients_and_signs():
     got = parse_relation("-2*(x*y)*z + 1/3*x*(y*z)")
-    want = Weight3Element.monomial(LEFT, (1, 2, 3), -2) + \
-        Weight3Element.monomial(RIGHT, (1, 2, 3), Fraction(1, 3))
+    want = Weight3Element.monomial(LEFT, (1, 2, 3)).scaled(-2) + \
+        Weight3Element.monomial(RIGHT, (1, 2, 3)).scaled(Fraction(1, 3))
     assert got == want
 
 
 def test_parse_leibniz_and_decompose():
     x = parse_relation("x*(y*z) - (x*y)*z + (x*z)*y")
-    v, w = decompose_LR(-x)
+    v, w = decompose_LR(x.scaled(-1))
     assert v == group_vector((1, ID), (-1, T23))
     assert w == group_vector((1, ID))
 

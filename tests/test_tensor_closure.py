@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from operad_forge.cli import _FAMILY_SWEEP
-from operad_forge.foundation import full_space, kernel, span
+from operad_forge.foundation import full_space, span
 from operad_forge.group_module import PERMS, apply_idempotent
 from operad_forge.operad_calculus import (
     PRESET_NAMES,
@@ -70,6 +70,7 @@ from conftest import (
     reference_jacobiator_template,
     reference_membership,
     reference_project,
+    white_product,
 )
 from test_operad_calculus import _sparse_elements
 
@@ -583,26 +584,13 @@ def test_leaks_match_reference_closure_on_every_module_pair():
     assert leaking > 10000
 
 
-def _white_product(r_a, r_b, product):
-    """W: the kernel of the residuals of the 12 unit monomials, flattened."""
-    dim_b = r_b.symmetry.dim
-    rows = []
-    for m in MONOMIALS:
-        flat = [Fraction(0)] * (12 * dim_b)
-        for i, row in leaks(Weight3Element.monomial(m.shape, m.labels),
-                            product, r_a, r_b):
-            flat[i * dim_b:(i + 1) * dim_b] = row
-        rows.append(flat)
-    return kernel(span(zip(*rows), 12))
-
-
 def test_closure_holds_exactly_on_the_white_product():
     rng = random.Random(10)
     pairs = _fitting_pairs()
     verdicts = set()
     for r_a, r_b in rng.sample(pairs, 60):
         for product in NAMED_PRODUCTS:
-            w = _white_product(r_a, r_b, product)
+            w = white_product(r_a, r_b, product)
             targets = [lift(x) for x in r_a.basis_elements()]
             targets.append(Weight3Element(REGULAR, tuple(
                 Fraction(rng.randint(-2, 2)) for _ in range(12))))
@@ -618,7 +606,137 @@ def test_closure_holds_exactly_on_the_white_product():
     assert verdicts == {True, False}
 
 
+# --- Manin white-product laws under the identity product ---------------------
+
+
+def _w(r_a, r_b):
+    return RelationModule(REGULAR,
+                          white_product(r_a, r_b, MixedProduct.identity()))
+
+
+def _regular_preset_operads():
+    operads = [preset(name) for name in regular_presets()]
+    assert len(operads) == 18
+    return operads
+
+
+_ORBIT_SPANS = st.lists(_sparse_elements(REGULAR), min_size=1,
+                        max_size=2).map(partial(orbit_span, symmetry=REGULAR))
+
+
+def _unit_law(r):
+    # comm3 identifies all 12 monomials: the commutative associative product
+    assert _w(r, preset("comm3").relations) == r
+
+
+def _absorbing_law(r):
+    assert _w(r, full_module(REGULAR)) == full_module(REGULAR)
+
+
+def _commutative_law(a, b):
+    assert _w(a, b) == _w(b, a)
+
+
+def _associative_law(a, b, c):
+    assert _w(_w(a, b), c) == _w(a, _w(b, c))
+
+
+def _companion_law(p):
+    # the minimal companion of P is the dual of W(P^!, P)
+    w = _w(dual(p).relations, p.relations)
+    assert minimal_companion(p) == dual(QuadraticOperad(REGULAR, w)).relations
+
+
+def _theorem1_law(p):
+    w = _w(p.relations, tilde(p).relations)
+    assert p.relations.space.is_subspace_of(w.space)
+
+
+def test_white_product_unit_on_presets():
+    for p in _regular_preset_operads():
+        _unit_law(p.relations)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_ORBIT_SPANS)
+def test_white_product_unit_on_orbit_spans(r):
+    _unit_law(r)
+
+
+def test_white_product_absorbing_on_presets():
+    for p in _regular_preset_operads():
+        _absorbing_law(p.relations)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_ORBIT_SPANS)
+def test_white_product_absorbing_on_orbit_spans(r):
+    _absorbing_law(r)
+
+
+def test_white_product_commutative_on_presets():
+    modules = [p.relations for p in _regular_preset_operads()]
+    for i, a in enumerate(modules):
+        for b in modules[i + 1:]:
+            _commutative_law(a, b)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_ORBIT_SPANS, _ORBIT_SPANS)
+def test_white_product_commutative_on_orbit_spans(a, b):
+    _commutative_law(a, b)
+
+
+def test_white_product_associative_on_presets():
+    modules = [p.relations for p in _regular_preset_operads()]
+    rng = random.Random(1994)
+    for _ in range(60):
+        _associative_law(*(rng.choice(modules) for _ in range(3)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_ORBIT_SPANS, _ORBIT_SPANS, _ORBIT_SPANS)
+def test_white_product_associative_on_orbit_spans(a, b, c):
+    _associative_law(a, b, c)
+
+
+def test_minimal_companion_is_dual_of_white_product_on_presets():
+    for p in _regular_preset_operads():
+        _companion_law(p)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_ORBIT_SPANS)
+def test_minimal_companion_is_dual_of_white_product_on_orbit_spans(r):
+    _companion_law(QuadraticOperad(REGULAR, r))
+
+
+def test_relations_lie_in_white_product_with_tilde_on_presets():
+    for p in _regular_preset_operads():
+        _theorem1_law(p)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_ORBIT_SPANS)
+def test_relations_lie_in_white_product_with_tilde_on_orbit_spans(r):
+    _theorem1_law(QuadraticOperad(REGULAR, r))
+
+
 def test_theorem1_is_lift_closure_against_tilde():
     for name in ("ass", "leib", "lie", "com"):
         p = preset(name)
         assert theorem1_check(p) == lift_closure(p, tilde(p).relations)
+
+
+@pytest.mark.parametrize("p_name,r_b", [
+    ("lie", "lie"), ("com", "lie"), ("lie", "regular"), ("com", "regular")])
+def test_lift_closure_refuses_a_symmetric_p_against_non_commutative_r_b(
+        p_name, r_b):
+    # the lifts of lie's relations expand to False against lie's own
+    # relations through `lift`, and to True through `_equivariant_lift`
+    p = preset(p_name)
+    rel = full_module(REGULAR) if r_b == "regular" else preset(r_b).relations
+    with pytest.raises(ValueError, match=(
+            f"^a {p.symmetry.value} P is decided through lifts only against "
+            f"a comm R_B, got {rel.symmetry.value}$")):
+        lift_closure(p, rel)
