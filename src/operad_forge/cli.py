@@ -277,8 +277,6 @@ def _cmd_negative(args) -> int:
 
 def _cmd_companion(args) -> int:
     p = _load_operad(args.operad)
-    if p.symmetry is not REGULAR:
-        raise ValueError("companion is computed for regular presets only")
     comp = minimal_companion(p)
     t = tilde(p, seed=args.seed)
     contained = comp.space.is_subspace_of(t.relations.space)

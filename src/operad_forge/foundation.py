@@ -22,7 +22,6 @@ from typing import Iterable, Optional, Sequence
 Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def vec(entries: Iterable) -> Vector:

@@ -11,7 +11,6 @@ from functools import cached_property, partial
 from typing import Iterable, Optional
 
 from .foundation import (
-    ONE,
     ZERO,
     Subspace,
     kernel,
@@ -43,6 +42,7 @@ from .weight_spaces import (
     COMMUTATIVE,
     LEFT,
     PAIRING,
+    PROJECTION,
     REGULAR,
     RIGHT,
     SWAPPED,
@@ -61,12 +61,13 @@ class RelationModule:
     """A Sigma_3-invariant subspace of a weight-3 space.
 
     Invariance is the constructor's contract, not checked here: every
-    module in this package comes from `orbit_span`, from `dual` (whose
-    pairing satisfies <sx, sy> = +-<x, y>), from `algebra_relations`
-    (whose basis triples are closed under permutation) or from the
-    report's isotypic pieces.  `isotypic` checks it, so `rank` refuses a
-    module built by hand that is not invariant.  The isotypic profile is
-    computed once per module object; later calls return the same profile.
+    module in this package comes from `orbit_span`, `partition_module`
+    (whose callers join Sigma_3-stable blocks), `dual` (whose pairing
+    satisfies <sx, sy> = +-<x, y>), `algebra_relations` (whose basis
+    triples are closed under permutation) or the report's isotypic
+    pieces.  `isotypic` checks it, so `rank` refuses a module built by
+    hand that is not invariant.  The isotypic profile is computed once per
+    module object; later calls return the same profile.
     """
 
     symmetry: SymmetryClass
@@ -129,8 +130,22 @@ def orbit_span(xs: Iterable[Weight3Element],
     return RelationModule(symmetry, span(rows, symmetry.dim))
 
 
-def zero_module(symmetry: SymmetryClass) -> RelationModule:
-    return RelationModule(symmetry, span([], symmetry.dim))
+def partition_module(symmetry: SymmetryClass,
+                     supports: Iterable) -> RelationModule:
+    """The span of e_i - e_j over i, j in one block of the finest partition
+    that puts the nonzero columns of each support in one block.  Its
+    canonical RREF is written down, not eliminated: e_x - e_last for each
+    block member x but the block's last, in the order of x."""
+    n = symmetry.dim
+    block = list(range(n))
+    for s in supports:
+        joined = {block[j] for j, a in enumerate(s) if a}
+        label = min(joined, default=None)
+        block = [label if b in joined else b for b in block]
+    last = {b: x for x, b in enumerate(block)}
+    rows = tuple(tuple(int(j == x) - int(j == last[b]) for j in range(n))
+                 for x, b in enumerate(block) if x != last[b])
+    return RelationModule(symmetry, Subspace(n, 1, rows))
 
 
 def rank(r: RelationModule) -> int:
@@ -270,21 +285,13 @@ def presentation_of(p: QuadraticOperad,
     return find_presentation(p, seed=seed)
 
 
-def _unit_difference(plus: int, minus: int) -> Weight3Element:
-    """The regular element m_plus - m_minus of two distinct monomials."""
-    coords = [ZERO] * 12
-    coords[plus] = ONE
-    coords[minus] = -ONE
-    return Weight3Element(REGULAR, tuple(coords))
-
-
 def tilde(p: QuadraticOperad, seed: int = 0) -> QuadraticOperad:
     """The companion operad making tensor products close (see tensor_closure).
 
     P~ identifies the monomials in the support of each presented generator
     psi(v, L) - psi(w, R), so it depends on the presentation only through
-    those supports.  The differences from the first monomial of a support
-    to each other one span the same space as all pairwise differences.
+    those supports: the blocks of its partition module join the monomials
+    (comb coordinates, for a symmetric P) of each support's Sigma_3-images.
     Output class is regular for a regular input and commutative otherwise.
 
     A tilde is computed once per operad object and seed (once per object
@@ -295,13 +302,13 @@ def tilde(p: QuadraticOperad, seed: int = 0) -> QuadraticOperad:
     if key in p._tildes:
         return p._tildes[key]
     target = REGULAR if p.symmetry is REGULAR else COMMUTATIVE
-    gens = []
+    supports = []
     for v, w in presentation_of(p, seed=seed):
         x = presented_relation(v, w, REGULAR)
-        support = [n for n, c in enumerate(x.coords) if c]
-        gens += [project(_unit_difference(support[0], n), target)
-                 for n in support[1:]]
-    rel = orbit_span(gens, target)
+        cols = {n for (n, _), c in zip(PROJECTION[target], x.coords) if c}
+        support = [int(n in cols) for n in range(target.dim)]
+        supports += [act_vector(target, sigma, support) for sigma in PERMS]
+    rel = partition_module(target, supports)
     name = f"tilde({p.name})" if p.name else None
     t = p._tildes[key] = QuadraticOperad(target, rel, None, name)
     return t

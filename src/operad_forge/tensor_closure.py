@@ -33,11 +33,10 @@ from .group_module import subgroup_alternating
 from .operad_calculus import (
     QuadraticOperad,
     RelationModule,
-    orbit_span,
+    partition_module,
     presented_relation,
     preset,
     tilde,
-    zero_module,
 )
 from .weight_spaces import (
     COMMUTATIVE,
@@ -234,17 +233,13 @@ def theorem1_check(p: QuadraticOperad, seed: int = 0) -> tuple[bool, list]:
 
 
 def minimal_companion(p: QuadraticOperad) -> RelationModule:
-    """Least invariant module S with Delta(R) inside R (x) Gamma + Gamma (x) S."""
+    """Least invariant module S with Delta(R) inside R (x) Gamma + Gamma (x) S:
+    the partition module of R's RREF row supports.  Against a free B, the
+    row b with pivot q leaks b[i] (e_i - e_q) at each coset coordinate i,
+    and those blocks, R's matroid components, are Sigma_3-stable."""
     if p.symmetry is not REGULAR:
-        raise ValueError("minimal companion is computed for the regular class")
-    r = p.relations
-    free = zero_module(REGULAR)
-    collected = [
-        Weight3Element(REGULAR, component)
-        for tgt in r.basis_elements()
-        for _, component in leaks(tgt, MixedProduct.identity(), r, free)
-    ]
-    return orbit_span(collected, REGULAR)
+        raise ValueError("companion is computed for regular presets only")
+    return partition_module(REGULAR, p.relations.space.rows)
 
 
 def jacobiator_template() -> Weight3Element:

@@ -96,6 +96,10 @@ def full_module(symmetry):
     return RelationModule(symmetry, full_space(symmetry.dim))
 
 
+def zero_module(symmetry):
+    return RelationModule(symmetry, span([], symmetry.dim))
+
+
 def rationals(max_num=9, max_den=5):
     return st.builds(
         Fraction,

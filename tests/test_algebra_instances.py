@@ -23,7 +23,6 @@ from operad_forge.operad_calculus import (
     orbit_span,
     preset,
     tilde,
-    zero_module,
 )
 from operad_forge.relation_dsl import parse_relation
 from operad_forge.tensor_closure import PAIR_KEYS, MixedProduct, closure_holds
@@ -41,6 +40,7 @@ from conftest import (
     full_module,
     reference_tensor_instance,
     reference_violations,
+    zero_module,
 )
 
 

@@ -28,13 +28,13 @@ from operad_forge.operad_calculus import (
     operad_from_definition,
     operads_equal,
     orbit_span,
+    partition_module,
     preset,
     presentation_of,
     presented_relation,
     rank,
     regular_presets,
     tilde,
-    zero_module,
     PRESET_NAMES,
 )
 from operad_forge.relation_dsl import format_weight3, parse_relation
@@ -61,6 +61,7 @@ from conftest import (
     full_module,
     reference_character_multiplicities,
     reference_find_presentation,
+    zero_module,
 )
 from test_group_module import reference_isotypic_multiplicities
 from test_weight_spaces import reference_psi
@@ -676,3 +677,41 @@ def test_orbit_span_rejects_a_mixed_class_orbit_mate():
             orbit_span(xs, COMMUTATIVE)
     with pytest.raises(ValueError, match="mixed symmetry classes"):
         orbit_span([x, Weight3Element(ANTICOMMUTATIVE, x.coords)])
+
+
+# --- partition_module against the span of pairwise differences ---------------
+
+
+def _pairwise_differences(symmetry, supports):
+    """span of e_i - e_j over every pair of nonzero columns of each support."""
+    units = full_space(symmetry.dim).basis
+    rows = []
+    for s in supports:
+        cols = [j for j, a in enumerate(s) if a]
+        rows += [tuple(a - b for a, b in zip(units[i], units[j]))
+                 for i in cols for j in cols if i < j]
+    return RelationModule(symmetry, span(rows, symmetry.dim))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from([REGULAR, COMMUTATIVE]).flatmap(
+    lambda sym: st.tuples(st.just(sym), st.lists(
+        st.lists(_SPARSE, min_size=sym.dim, max_size=sym.dim), max_size=4))))
+def test_partition_module_is_the_span_of_pairwise_differences(case):
+    symmetry, supports = case
+    got = partition_module(symmetry, supports)
+    assert got == _pairwise_differences(symmetry, supports)
+    assert got.space.denominator == 1
+
+
+def test_partition_module_fixed_cases():
+    assert partition_module(REGULAR, []) == zero_module(REGULAR)
+    assert partition_module(COMMUTATIVE, []) == zero_module(COMMUTATIVE)
+    chain = [[1, 1] + [0] * 10, [0, 1, -2] + [0] * 9]
+    one_block = partition_module(REGULAR, chain)
+    assert one_block.space.rows == (
+        (1, 0, -1) + (0,) * 9, (0, 1, -1) + (0,) * 9)
+    assert one_block == _pairwise_differences(REGULAR, [[1, 1, 1] + [0] * 9])
+    full = partition_module(REGULAR, [[1] * 12])
+    assert full.dim == 11
+    assert full == preset("comm3").relations

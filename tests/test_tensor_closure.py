@@ -20,7 +20,6 @@ from operad_forge.operad_calculus import (
     preset,
     regular_presets,
     tilde,
-    zero_module,
 )
 from operad_forge.relation_dsl import parse_relation
 from operad_forge.tensor_closure import (
@@ -71,6 +70,7 @@ from conftest import (
     reference_membership,
     reference_project,
     white_product,
+    zero_module,
 )
 from test_operad_calculus import _sparse_elements
 
@@ -249,9 +249,12 @@ def _reference_minimal_companion(p):
 
 
 def test_minimal_companion_matches_reference_on_every_regular_preset():
-    for name in regular_presets():
-        p = preset(name)
-        assert minimal_companion(p) == _reference_minimal_companion(p), name
+    operads = [preset(name) for name in regular_presets()]
+    # the family sweep, and the exceptional family_t members t = -1, 1/2
+    operads += [preset(*spec) for spec in _FAMILY_SWEEP]
+    operads += [preset("family_t", t) for t in (-1, Fraction(1, 2))]
+    for p in operads:
+        assert minimal_companion(p) == _reference_minimal_companion(p), p.name
 
 
 def _reference_membership(t, r_a, r_b):
@@ -709,6 +712,13 @@ def test_minimal_companion_is_dual_of_white_product_on_presets():
 @given(_ORBIT_SPANS)
 def test_minimal_companion_is_dual_of_white_product_on_orbit_spans(r):
     _companion_law(QuadraticOperad(REGULAR, r))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_ORBIT_SPANS)
+def test_minimal_companion_matches_reference_on_orbit_spans(r):
+    p = QuadraticOperad(REGULAR, r)
+    assert minimal_companion(p) == _reference_minimal_companion(p)
 
 
 def test_relations_lie_in_white_product_with_tilde_on_presets():
