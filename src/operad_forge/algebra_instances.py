@@ -1,14 +1,17 @@
 """Concrete finite-dimensional algebras given by structure constants.
 
 Instances corroborate the symbolic layer.  Every question about an instance
-reads one table: the value of each of the 12 regular monomials on each
-ordered basis triple, multiplied out sparsely from the nonzero structure
-constants.  Rel(A), the regular relations that vanish on every basis
-triple, is the kernel of that table, so A satisfies P exactly when R_P lies
-in Rel(A); the counterexample search decides tensor products from these
-modules alone.  Relation checking sums each relation over the same table to
-name a failing triple.  Tensor instances are built from the nonzero
-constants of both factors.
+reads one integer table: the value of each of the 12 regular monomials on
+each ordered basis triple, multiplied out sparsely from the nonzero
+structure constants scaled to integers by the lcm D of their denominators,
+so the table is D**2 times the rational one.  A triple is evaluated when
+first read.  Rel(A), the regular relations that vanish on every basis
+triple, is the kernel of that table, which the scale does not change, so A
+satisfies P exactly when R_P lies in Rel(A); the counterexample search
+decides tensor products from these modules alone, on integer rows.
+Relation checking sums each relation over the same table to name a failing
+triple, and only a reported residue becomes Fractions.  Tensor instances
+are built from the nonzero constants of both factors.
 """
 
 from __future__ import annotations
@@ -17,13 +20,19 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from math import lcm
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .foundation import Vector, kernel, span
+from .foundation import ZERO, Vector, integer_row, kernel, span
 from .operad_calculus import RelationModule
-from .tensor_closure import PAIR_KEYS, SWAP, MixedProduct, closure_holds
+from .tensor_closure import (
+    PAIR_KEYS,
+    SWAP,
+    MixedProduct,
+    closure_holds_on_rows,
+)
 from .weight_spaces import (
     ANTICOMMUTATIVE,
     LEFT,
@@ -77,8 +86,10 @@ class AlgebraInstance:
     @cached_property
     def _relations(self) -> RelationModule:
         """Rel(A), computed on first use; see `algebra_relations`."""
+        _, values = _monomial_values(self)
         columns = set()
-        for evals in _monomial_values(self).values():
+        for abc in itertools.product(range(self.dim), repeat=3):
+            evals = values(abc)
             for k in set().union(*evals):
                 columns.add(tuple(e.get(k, 0) for e in evals))
         columns.discard((0,) * 12)
@@ -197,18 +208,24 @@ _READS = [(m.shape, itemgetter(*(label - 1 for label in m.labels)))
           for m in MONOMIALS]
 
 
-def _monomial_values(alg: AlgebraInstance) -> dict:
-    """The value of every regular monomial on every ordered basis triple.
+def _monomial_values(alg: AlgebraInstance) -> tuple[int, Callable]:
+    """(scale, values): values((a, b, c)) lists scale times each of the 12
+    regular monomials evaluated on (e_a, e_b, e_c), 0-based, as a sparse
+    {k: int} dict.
 
-    table[(a, b, c)][n] is MONOMIALS[n] evaluated on (e_a, e_b, e_c), as a
-    sparse {k: coefficient} dict; triples are 0-based and in
-    itertools.product order.  Each triple's (e_a e_b) e_c and e_a (e_b e_c)
-    is multiplied out once, from the nonzero structure constants.
+    The structure constants are scaled to integers by the lcm D of their
+    denominators; every monomial is two products deep, so scale is D**2.  A
+    triple is evaluated when first asked for, and it and each (e_a e_b) e_c
+    and e_a (e_b e_c) are computed at most once per call, from the nonzero
+    constants; nothing is kept on the instance.
     """
-    n = alg.dim
-    # Sparse basis products: e_i e_j as {k: coefficient}.
-    prod = [[{k: v for k, v in enumerate(alg.structure[i][j]) if v}
-             for j in range(n)] for i in range(n)]
+    nonzero = [[[(k, v) for k, v in enumerate(cell) if v] for cell in row]
+               for row in alg.structure]
+    d = lcm(*[v.denominator for row in nonzero for cell in row
+              for _, v in cell])
+    # Sparse basis products: D e_i e_j as {k: coefficient}.
+    prod = [[{k: v.numerator * (d // v.denominator) for k, v in cell}
+             for cell in row] for row in nonzero]
 
     def times(u: dict, v: dict) -> dict:
         out: dict = {}
@@ -218,29 +235,43 @@ def _monomial_values(alg: AlgebraInstance) -> dict:
                     out[k] = out.get(k, 0) + a * b * c
         return out
 
-    unit = [{i: 1} for i in range(n)]
-    triples = list(itertools.product(range(n), repeat=3))
-    values = {
-        LEFT: {t: times(prod[t[0]][t[1]], unit[t[2]]) for t in triples},
-        RIGHT: {t: times(unit[t[0]], prod[t[1]][t[2]]) for t in triples},
-    }
-    return {abc: [values[shape][pick(abc)] for shape, pick in _READS]
-            for abc in triples}
+    @cache
+    def value(shape, abc: tuple[int, int, int]) -> dict:
+        a, b, c = abc
+        if shape is LEFT:
+            return times(prod[a][b], {c: 1})
+        return times({a: 1}, prod[b][c])
+
+    @cache
+    def values(abc: tuple[int, int, int]) -> list[dict]:
+        return [value(shape, pick(abc)) for shape, pick in _READS]
+
+    return d * d, values
 
 
 def _violations(alg: AlgebraInstance,
                 relations: Sequence[Weight3Element]) -> Iterator[Violation]:
-    """Regular relations failing on basis triples, relation by relation."""
-    table = _monomial_values(alg)
+    """Regular relations failing on basis triples, relation by relation.
+
+    Triples are evaluated as the loop reaches them, so the first violation
+    costs only the triples before it.  The sums run on integers, and a
+    residue becomes Fractions only when it is yielded.
+    """
+    scale, values = _monomial_values(alg)
+    triples = list(itertools.product(range(alg.dim), repeat=3))
     for x in relations:
-        support = [(n, c) for n, c in enumerate(x.coords) if c]
-        for abc, evals in table.items():
-            total = [Fraction(0)] * alg.dim
+        w, d = integer_row(x.coords)
+        support = [(n, c) for n, c in enumerate(w) if c]
+        for abc in triples:
+            evals = values(abc)
+            total = [0] * alg.dim
             for n, c in support:
                 for k, v in evals[n].items():
                     total[k] += c * v
             if any(total):
-                yield Violation(x, tuple(t + 1 for t in abc), tuple(total))
+                yield Violation(x, tuple(t + 1 for t in abc),
+                                tuple(Fraction(v, scale * d) if v else ZERO
+                                      for v in total))
 
 
 def algebra_relations(alg: AlgebraInstance) -> RelationModule:
@@ -248,8 +279,10 @@ def algebra_relations(alg: AlgebraInstance) -> RelationModule:
 
     Rel(A) is the left kernel of the 12 x n^4 evaluation matrix, whose
     column (a, b, c, k) holds coordinate k of each monomial evaluated on
-    (e_a, e_b, e_c).  All-zero and repeated columns leave that kernel
-    unchanged, so they are dropped before the one elimination.  The set of
+    (e_a, e_b, e_c), read here from the integer table, D**2 times it.
+    All-zero and repeated columns leave that kernel unchanged, so they are
+    dropped before the columns' span is eliminated, and `kernel` reads
+    Rel(A) off one more elimination of that span's rows.  The set of
     basis triples is closed under permutation, so Rel(A) is
     Sigma_3-invariant.  It is computed once per instance object.
     """
@@ -385,14 +418,17 @@ def search_counterexample(r_a: RelationModule, r_b: RelationModule,
 
     Rel(A) is computed once per instance object, so once per process for
     the catalog fixtures, and interned (a `Subspace` hashes by its integer
-    form).  Each distinct (Rel(A), Rel(B)) pair is decided once by
-    `closure_holds`: the kernel of ev_A (x) ev_B is
+    form).  Each distinct (Rel(A), Rel(B)) pair is decided once, as
+    `closure_holds` would: the kernel of ev_A (x) ev_B is
     Rel(A) (x) Gamma + Gamma (x) Rel(B), so a target holds on A (x) B
     exactly when its expansion lies there, and no tensor product is built.
-    Pairs are visited in candidate order, and only the first failing pair
-    is tensored, its first violation in `check_relations` order becoming
-    the witness; so a seed reports the same witness as evaluating every
-    tensor product would.
+    The verdict runs on the integer RREF rows of the targets' span and
+    stops at the first that leaks.  Pairs are visited in candidate order,
+    and only the first failing pair is tensored, its first violation in
+    `check_relations` order becoming the witness; so a seed reports the
+    same witness as evaluating every tensor product would.  The targets'
+    Fraction basis is built for that witness only, and its evaluation
+    stops at the failing triple.
     """
     if not 2 <= max_dim <= 4:
         raise ValueError(f"max_dim must be between 2 and 4, got {max_dim}")
@@ -401,8 +437,7 @@ def search_counterexample(r_a: RelationModule, r_b: RelationModule,
     targets = [t for t in targets if not t.is_zero()]
     if not targets:
         return None
-    target_basis = [Weight3Element(REGULAR, b)
-                    for b in span([t.coords for t in targets], 12).basis]
+    target_space = span([t.coords for t in targets], 12)
     rng = random.Random(seed)
     candidates_a = [a for a in _CATALOG.values() if a.dim <= max_dim]
     candidates_b = list(candidates_a)
@@ -419,16 +454,18 @@ def search_counterexample(r_a: RelationModule, r_b: RelationModule,
     lefts = accepted(candidates_a, r_a)
     rights = accepted(candidates_b, r_b)
     modules = list(ids)
+    identity = MixedProduct.identity()
     closed = set()
     for a, i in lefts:
         for b, j in rights:
             if (i, j) in closed:
                 continue
-            holds, _ = closure_holds(modules[i], modules[j],
-                                     MixedProduct.identity(), target_basis)
-            if holds:
+            if closure_holds_on_rows(modules[i], modules[j], identity,
+                                     target_space.rows):
                 closed.add((i, j))
                 continue
-            t = tensor_instance(a, b, MixedProduct.identity())
+            target_basis = [Weight3Element(REGULAR, row)
+                            for row in target_space.basis]
+            t = tensor_instance(a, b, identity)
             return Counterexample(a, b, next(_violations(t, target_basis)))
     return None

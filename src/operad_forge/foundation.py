@@ -240,15 +240,25 @@ def full_space(ambient_dim: int) -> Subspace:
 
 
 def kernel(row_space: Subspace) -> Subspace:
-    """Kernel of the matrix whose rows are the RREF basis of row_space:
-    c * e_f - sum_i rows[i][f] * e_{p_i} for each non-pivot column f."""
+    """Kernel of the matrix whose rows span row_space, by one elimination.
+
+    The rows are eliminated with the columns reversed, so each row a_q of
+    the result is c * e_q plus entries left of q at the other columns only
+    (the pivots q are the lex-last basis of the column matroid).  Then
+    c * e_f - sum_q a_q[f] * e_q, for each other column f, is already the
+    canonical integer RREF of the kernel: it leads with c at f, vanishes at
+    every other such column, and its entries are those of the a_q, whose
+    gcd with c is 1.
+    """
     n = row_space.ambient_dim
-    pivots = row_space.pivot_columns()
-    vectors = []
-    for f in row_space.complement_columns():
-        v = [0] * n
-        v[f] = row_space.denominator
-        for row, p in zip(row_space.rows, pivots):
-            v[p] = -row[f]
-        vectors.append(v)
-    return span(vectors, n)
+    c, rows = rref([row[::-1] for row in row_space.rows])
+    last = {n - 1 - row.index(c): row[::-1] for row in rows}
+    out = []
+    for f in range(n):
+        if f not in last:
+            v = [0] * n
+            v[f] = c
+            for q, a in last.items():
+                v[q] = -a[f]
+            out.append(tuple(v))
+    return Subspace(n, c, tuple(out))

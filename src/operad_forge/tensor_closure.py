@@ -163,6 +163,23 @@ class ClosureCertificate:
         return "; ".join(parts)
 
 
+def _normal_form(w: Sequence[int], cells: tuple, nf_a: tuple, nf_b: tuple,
+                 dim_b: int) -> dict[int, list[int]]:
+    """The bilinear normal form of the integer template w, on integers:
+    {A-side coset coordinate: B-side row}, both residue tables and the
+    placement table read without their denominators."""
+    rows: dict[int, list[int]] = defaultdict(lambda: [0] * dim_b)
+    for w_m, cells_m in zip(w, cells):
+        if not w_m:
+            continue
+        for ia, ib, alpha in cells_m:
+            for i, a in nf_a[ia]:
+                f, row = w_m * alpha * a, rows[i]
+                for j, b in nf_b[ib]:
+                    row[j] += f * b
+    return rows
+
+
 def leaks(target: Weight3Element, product: MixedProduct,
           r_a: RelationModule, r_b: RelationModule
           ) -> tuple[tuple[int, Vector], ...]:
@@ -180,15 +197,7 @@ def leaks(target: Weight3Element, product: MixedProduct,
     c_a, nf_a = r_a.space.unit_residues
     c_b, nf_b = r_b.space.unit_residues
     w, d = integer_row(target.coords)
-    rows: dict[int, list[int]] = defaultdict(lambda: [0] * r_b.symmetry.dim)
-    for w_m, cells_m in zip(w, cells):
-        if not w_m:
-            continue
-        for ia, ib, alpha in cells_m:
-            for i, a in nf_a[ia]:
-                f, row = w_m * alpha * a, rows[i]
-                for j, b in nf_b[ib]:
-                    row[j] += f * b
+    rows = _normal_form(w, cells, nf_a, nf_b, r_b.symmetry.dim)
     den *= d * c_a * c_b
     return tuple((i, tuple(Fraction(x, den) if x else ZERO for x in row))
                  for i, row in sorted(rows.items()) if any(row))
@@ -202,6 +211,23 @@ def closure_holds(r_a: RelationModule, r_b: RelationModule,
     certs = [ClosureCertificate(tgt, leaks(tgt, product, r_a, r_b))
              for tgt in targets]
     return all(c.holds for c in certs), certs
+
+
+def closure_holds_on_rows(r_a: RelationModule, r_b: RelationModule,
+                          product: MixedProduct,
+                          rows: Sequence[Sequence[int]]) -> bool:
+    """closure_holds(r_a, r_b, product, targets)[0] for regular targets
+    given as integer coordinate rows, any multiple of each or any spanning
+    set of their span: the normal form is linear, so only which rows leave
+    a nonzero one matters.  Stops at the first row that leaks, and builds
+    no Fraction."""
+    _, cells = placements(product, r_a.symmetry, r_b.symmetry)
+    nf_a = r_a.space.unit_residues[1]
+    nf_b = r_b.space.unit_residues[1]
+    dim_b = r_b.symmetry.dim
+    return not any(any(map(any, _normal_form(w, cells, nf_a, nf_b,
+                                             dim_b).values()))
+                   for w in rows)
 
 
 def lift_closure(p: QuadraticOperad, r_b: RelationModule

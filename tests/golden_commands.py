@@ -80,13 +80,16 @@ GOLDENS = {
         f"{_instance('poisson_heisenberg')} {_instance('comm_assoc_2d')} "
         "--twist poisson",
     ]),
-    # the default budget of 200: two searches that find no witness (ass x
-    # ass is closed, so its search is exhaustive) and one that finds one
+    # the default budget of 200: searches that find no witness (ass x ass
+    # is closed, so its search is exhaustive) and searches that find one,
+    # up to the largest instance dimension
     "search_counterexample.txt": [
         (f"search counterexample {line}".split(), code) for line, code in [
             ("--p leib --q zinb --max-dim 2", 1),
             ("--p ass --q ass --max-dim 2", 1),
-            ("--p poiss --q poiss --max-dim 3", 0)]],
+            ("--p poiss --q poiss --max-dim 3", 0),
+            ("--p ass --q ass --max-dim 4", 1),
+            ("--p leib --q zinb --max-dim 4", 0)]],
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from operad_forge.algebra_instances import (
     search_counterexample,
     tensor_instance,
 )
-from operad_forge.foundation import kernel, span
+from operad_forge.foundation import integer_row, kernel, span
 from operad_forge.operad_calculus import (
     PRESET_NAMES,
     RelationModule,
@@ -25,7 +26,12 @@ from operad_forge.operad_calculus import (
     tilde,
 )
 from operad_forge.relation_dsl import parse_relation
-from operad_forge.tensor_closure import PAIR_KEYS, MixedProduct, closure_holds
+from operad_forge.tensor_closure import (
+    PAIR_KEYS,
+    MixedProduct,
+    closure_holds,
+    closure_holds_on_rows,
+)
 from operad_forge.weight_spaces import (
     ANTICOMMUTATIVE,
     COMMUTATIVE,
@@ -329,6 +335,112 @@ def test_exhaustive_closed_search_finds_nothing():
     ass = preset("ass").relations
     assert search_counterexample(ass, ass, ass.basis_elements(),
                                  max_dim=2) is None
+
+
+def test_witness_stops_at_its_first_violation(monkeypatch):
+    # Triples are evaluated on demand: the witness's tensor product is read
+    # only up to its first failing triple, not over all of its n^3 triples.
+    evaluated = []  # (instance, the triples evaluated on it)
+    monomial_values = algebra_instances._monomial_values
+
+    def counted(alg):
+        scale, values = monomial_values(alg)
+        seen = set()
+        evaluated.append((alg, seen))
+
+        def counting(abc):
+            seen.add(abc)
+            return values(abc)
+
+        return scale, counting
+
+    monkeypatch.setattr(algebra_instances, "_monomial_values", counted)
+    leib = preset("leib").relations
+    targets = leib.basis_elements()
+    found = search_counterexample(leib, preset("zinb").relations, targets,
+                                  max_dim=4, seed=0)
+    t, seen = evaluated[-1]
+    assert t == tensor_instance(found.left, found.right,
+                                MixedProduct.identity())
+    assert found.violation.relation == targets[0]
+    triples = list(itertools.product(range(t.dim), repeat=3))
+    first = triples.index(tuple(x - 1 for x in found.violation.triple))
+    assert seen == set(triples[:first + 1])
+    assert len(seen) < len(triples)
+
+
+# Constants whose denominators are coprime, so the instances' integer scale
+# is their product.
+_COPRIME = (Fraction(1, 2), Fraction(2, 3), Fraction(7, 10007))
+
+
+def _rescaled(alg):
+    """alg's structure constants times 1/2, 2/3 and 7/10007 in turn."""
+    return AlgebraInstance.from_entries(
+        alg.dim, [(i, j, k, v * _COPRIME[n % 3])
+                  for n, (i, j, k, v) in enumerate(alg.entries())])
+
+
+def _assert_first_violation(t, r, want):
+    """The lazy witness is want's first violation, with Fraction entries."""
+    got = next(algebra_instances._violations(t, r.basis_elements()), None)
+    if not want:
+        assert got is None
+        return False
+    assert got == want[0] and str(got) == str(want[0])
+    assert all(type(v) is Fraction for v in got.value)
+    return True
+
+
+def test_witness_is_the_first_violation_of_check_relations():
+    relations = [preset(p).relations for p in ("ass", "leib", "zinb",
+                                               "poiss")]
+    catalog = [example(name) for name in example_names()]
+    rescaled = [_rescaled(a) for a in catalog]
+    found = 0
+    # small pairs against the dense Fraction reference
+    small = [a for a in catalog + rescaled if a.dim == 2]
+    for a, b in itertools.product(small, repeat=2):
+        t = tensor_instance(a, b, MixedProduct.identity())
+        for r in relations:
+            want = reference_violations(t, r.basis_elements())
+            assert check_relations(t, r) == want
+            found += _assert_first_violation(t, r, want)
+    # each fixture against its rescaled copy, up to dimension 16
+    for a, b in zip(catalog, rescaled):
+        t = tensor_instance(a, b, MixedProduct.identity())
+        for r in relations:
+            found += _assert_first_violation(t, r, check_relations(t, r))
+    assert found > 70
+
+
+def test_integer_pair_verdict_matches_closure_holds():
+    # The search decides a pair of modules on the integer RREF rows of the
+    # targets' span, stopping at the first row that leaks.
+    modules = [algebra_relations(example(name)) for name in example_names()]
+    identity = MixedProduct.identity()
+    bases = [preset(p).relations.basis_elements()
+             for p in ("ass", "leib", "zinb", "poiss")]
+    every = [t for basis in bases for t in basis]
+    verdicts = []
+    for r_a, r_b in itertools.product(modules, repeat=2):
+        for targets in bases:
+            holds, certs = closure_holds(r_a, r_b, identity, targets)
+            rows = span([t.coords for t in targets], 12).rows
+            assert closure_holds_on_rows(r_a, r_b, identity, rows) == holds
+            for tgt, cert in zip(targets, certs):
+                scaled = [-3 * x for x in integer_row(tgt.coords)[0]]
+                assert closure_holds_on_rows(
+                    r_a, r_b, identity, [scaled]) == cert.holds
+            verdicts.append(holds)
+        # all 24 targets, in both orders: one leaking row anywhere decides
+        holds, _ = closure_holds(r_a, r_b, identity, every)
+        rows = [integer_row(t.coords)[0] for t in every]
+        for ordered in (rows, rows[::-1]):
+            assert closure_holds_on_rows(r_a, r_b, identity,
+                                         ordered) == holds
+    assert len(verdicts) == 4 * 9 * 9
+    assert 0 < verdicts.count(True) < len(verdicts)
 
 
 # ---------------------------------------------------------------------------

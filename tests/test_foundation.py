@@ -375,3 +375,38 @@ def test_unit_residues_are_the_reductions_of_unit_vectors(ncols):
                 assert a != 0 and j in s.complement_columns()
                 dense[j] = Fraction(a, c)
             assert tuple(dense) == s.reduce(unit)
+
+
+def _reference_nullspace(rows, ncols):
+    """The RREF basis of {x : row . x = 0 for every row}, from the Fraction
+    RREF alone: e_f - sum_i b_i[f] e_{p_i} for each column f that is no
+    pivot p_i of the RREF basis b, reduced once more."""
+    basis = _reference_rref(rows)
+    pivots = [next(j for j, e in enumerate(b) if e) for b in basis]
+    null = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(int(j == f)) for j in range(ncols)]
+            for b, p in zip(basis, pivots):
+                v[p] = -b[f]
+            null.append(v)
+    return _reference_rref(null)
+
+
+@pytest.mark.parametrize("ncols", range(1, 13))
+def test_kernel_matches_fraction_nullspace_reference(ncols):
+    rng = random.Random(6000 + ncols)
+    ranks = set()
+    for _ in range(120):
+        rows = _rank_deficient_rows(rng, rng.randint(0, 18), ncols)
+        s = span(rows, ncols)
+        got = kernel(s)
+        want = _reference_nullspace(rows, ncols)
+        assert list(got.basis) == want
+        # the integer form is the RREF times its least common denominator
+        assert got.denominator == lcm(*[e.denominator for row in want
+                                        for e in row])
+        assert got.dim + s.dim == ncols
+        ranks.add(s.dim)
+    # every rank from 0 to the full ambient dimension occurs
+    assert ranks == set(range(ncols + 1))
