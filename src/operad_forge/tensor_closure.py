@@ -216,11 +216,11 @@ def closure_holds(r_a: RelationModule, r_b: RelationModule,
 def closure_holds_on_rows(r_a: RelationModule, r_b: RelationModule,
                           product: MixedProduct,
                           rows: Sequence[Sequence[int]]) -> bool:
-    """closure_holds(r_a, r_b, product, targets)[0] for regular targets
-    given as integer coordinate rows, any multiple of each or any spanning
-    set of their span: the normal form is linear, so only which rows leave
-    a nonzero one matters.  Stops at the first row that leaks, and builds
-    no Fraction."""
+    """closure_holds(r_a, r_b, product, targets)[0], with the regular
+    targets given as integer coordinate rows.  The normal form is linear,
+    so nonzero multiples of the targets, or any spanning set of their span,
+    give the same verdict.  Stops at the first row that leaks and builds no
+    Fraction."""
     _, cells = placements(product, r_a.symmetry, r_b.symmetry)
     nf_a = r_a.space.unit_residues[1]
     nf_b = r_b.space.unit_residues[1]
