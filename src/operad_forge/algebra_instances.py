@@ -1,17 +1,17 @@
 """Concrete finite-dimensional algebras given by structure constants.
 
 Instances corroborate the symbolic layer.  Every question about an instance
-reads one integer table: the value of each of the 12 regular monomials on
-each ordered basis triple, multiplied out sparsely from the nonzero
-structure constants scaled to integers by the lcm D of their denominators,
-so the table is D**2 times the rational one.  A triple is evaluated when
-first read.  Rel(A), the regular relations that vanish on every basis
-triple, is the kernel of that table, which the scale does not change, so A
-satisfies P exactly when R_P lies in Rel(A); the counterexample search
-decides tensor products from these modules alone, on integer rows.
-Relation checking sums each relation over the same table to name a failing
-triple, and only a reported residue becomes Fractions.  Tensor instances
-are built from the nonzero constants of both factors.
+reads the nonzero structure constants, scaled to integers by the lcm D of
+their denominators.  Rel(A), the regular relations that vanish on every
+basis triple, is the left kernel of the monomial values on the basis
+triples, D**2 times the rational ones, which the scale does not change; it
+is read off the nonzero two-step products alone, so A satisfies P exactly
+when R_P lies in Rel(A), and the counterexample search decides tensor
+products from these modules alone, on integer rows.  Relation checking
+sums each relation over one integer table of monomial values, a triple
+evaluated when first read, to name a failing triple, and only a reported
+residue becomes Fractions.  Tensor instances are built from the nonzero
+constants of both factors.
 """
 
 from __future__ import annotations
@@ -86,14 +86,26 @@ class AlgebraInstance:
     @cached_property
     def _relations(self) -> RelationModule:
         """Rel(A), computed on first use; see `algebra_relations`."""
-        _, values = _monomial_values(self)
-        columns = set()
-        for abc in itertools.product(range(self.dim), repeat=3):
-            evals = values(abc)
-            for k in set().union(*evals):
-                columns.add(tuple(e.get(k, 0) for e in evals))
-        columns.discard((0,) * 12)
-        return RelationModule(REGULAR, kernel(span(columns, 12)))
+        _, prod = _scaled_products(self)
+        columns: dict = {}
+
+        def add(shape, leaves, value):
+            # value is D**2 times the product on leaves; each monomial of
+            # that shape reads it on one basis triple.
+            value = [(k, v) for k, v in value.items() if v]
+            for m, place in _PLACES[shape]:
+                abc = place(leaves)
+                for k, v in value:
+                    columns.setdefault((abc, k), [0] * 12)[m] = v
+
+        for a, row in enumerate(prod):
+            for b, ab in enumerate(row):
+                if ab:
+                    for x in range(self.dim):
+                        add(LEFT, (a, b, x), _times(prod, ab, {x: 1}))
+                        add(RIGHT, (x, a, b), _times(prod, {x: 1}, ab))
+        return RelationModule(REGULAR, kernel(
+            {tuple(column) for column in columns.values()}, 12))
 
     @classmethod
     def from_entries(cls, dim: int, entries, name=None) -> "AlgebraInstance":
@@ -207,6 +219,34 @@ def check_relations(alg: AlgebraInstance,
 _READS = [(m.shape, itemgetter(*(label - 1 for label in m.labels)))
           for m in MONOMIALS]
 
+# _PLACES[shape] lists, for each monomial of that shape, its index and the
+# basis triple (a, b, c) on which it reads given leaves: the inverse of its
+# entry in _READS.
+_PLACES = {shape: [(n, itemgetter(*[m.labels.index(p) for p in (1, 2, 3)]))
+                   for n, m in enumerate(MONOMIALS) if m.shape is shape]
+           for shape in (LEFT, RIGHT)}
+
+
+def _scaled_products(alg: AlgebraInstance) -> tuple[int, list]:
+    """(D, prod): prod[i][j] is D e_i e_j as a sparse {k: int} dict, D the
+    lcm of the denominators of the nonzero structure constants."""
+    nonzero = [[[(k, v) for k, v in enumerate(cell) if v] for cell in row]
+               for row in alg.structure]
+    d = lcm(*[v.denominator for row in nonzero for cell in row
+              for _, v in cell])
+    return d, [[{k: v.numerator * (d // v.denominator) for k, v in cell}
+                for cell in row] for row in nonzero]
+
+
+def _times(prod: list, u: dict, v: dict) -> dict:
+    """u v for sparse u and v, through the scaled basis products."""
+    out: dict = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            for k, c in prod[i][j].items():
+                out[k] = out.get(k, 0) + a * b * c
+    return out
+
 
 def _monomial_values(alg: AlgebraInstance) -> tuple[int, Callable]:
     """(scale, values): values((a, b, c)) lists scale times each of the 12
@@ -214,33 +254,19 @@ def _monomial_values(alg: AlgebraInstance) -> tuple[int, Callable]:
     {k: int} dict.
 
     The structure constants are scaled to integers by the lcm D of their
-    denominators; every monomial is two products deep, so scale is D**2.  A
-    triple is evaluated when first asked for, and it and each (e_a e_b) e_c
-    and e_a (e_b e_c) are computed at most once per call, from the nonzero
-    constants; nothing is kept on the instance.
+    denominators (`_scaled_products`); every monomial is two products deep,
+    so scale is D**2.  A triple is evaluated when first asked for, and it
+    and each (e_a e_b) e_c and e_a (e_b e_c) are computed at most once per
+    call; nothing is kept on the instance.
     """
-    nonzero = [[[(k, v) for k, v in enumerate(cell) if v] for cell in row]
-               for row in alg.structure]
-    d = lcm(*[v.denominator for row in nonzero for cell in row
-              for _, v in cell])
-    # Sparse basis products: D e_i e_j as {k: coefficient}.
-    prod = [[{k: v.numerator * (d // v.denominator) for k, v in cell}
-             for cell in row] for row in nonzero]
-
-    def times(u: dict, v: dict) -> dict:
-        out: dict = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                for k, c in prod[i][j].items():
-                    out[k] = out.get(k, 0) + a * b * c
-        return out
+    d, prod = _scaled_products(alg)
 
     @cache
     def value(shape, abc: tuple[int, int, int]) -> dict:
         a, b, c = abc
         if shape is LEFT:
-            return times(prod[a][b], {c: 1})
-        return times({a: 1}, prod[b][c])
+            return _times(prod, prod[a][b], {c: 1})
+        return _times(prod, {a: 1}, prod[b][c])
 
     @cache
     def values(abc: tuple[int, int, int]) -> list[dict]:
@@ -279,12 +305,15 @@ def algebra_relations(alg: AlgebraInstance) -> RelationModule:
 
     Rel(A) is the left kernel of the 12 x n^4 evaluation matrix, whose
     column (a, b, c, k) holds coordinate k of each monomial evaluated on
-    (e_a, e_b, e_c), read here from the integer table, D**2 times it.
-    All-zero and repeated columns leave that kernel unchanged, so they are
-    dropped before the columns' span is eliminated, and `kernel` reads
-    Rel(A) off one more elimination of that span's rows.  The set of
-    basis triples is closed under permutation, so Rel(A) is
-    Sigma_3-invariant.  It is computed once per instance object.
+    (e_a, e_b, e_c), here D**2 times it.  Only the nonzero two-step
+    products fill it: each nonzero (e_a e_b) e_c and e_a (e_b e_c) is
+    computed once, and its coordinates go to the 6 monomials of its shape,
+    each in the column of the basis triple on which that monomial reads
+    those leaves.  All-zero columns are never built and repeated ones are
+    dropped, which leaves the kernel unchanged, and `kernel` reads Rel(A)
+    off one elimination of the columns.  The set of basis triples is
+    closed under permutation, so Rel(A) is Sigma_3-invariant.  It is
+    computed once per instance object.
     """
     return alg._relations
 

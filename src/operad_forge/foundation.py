@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import getitem, lt, mul
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -107,7 +108,10 @@ class Subspace:
     rows is denominator times the unique RREF basis over Q, and denominator
     is the least positive integer that makes it integral, so every pivot
     entry equals the denominator.  Two Subspace values are equal as spaces
-    iff they are equal as values.  Construction checks the canonical form.
+    iff they are equal as values.  Construction checks the canonical form:
+    the whole form is tested at once (lengths, pivots, pivot entries and
+    pivot columns through builtins over the rows and their columns), and
+    only a form that fails is scanned row by row to name its first fault.
     """
 
     ambient_dim: int
@@ -115,16 +119,31 @@ class Subspace:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n, c = self.ambient_dim, self.denominator
+        n, c, rows = self.ambient_dim, self.denominator, self.rows
         if c < 1:
             raise ValueError(f"denominator {c} is not positive")
-        for row in self.rows:
-            if len(row) != n:
-                raise ValueError(
-                    f"basis row has length {len(row)}, ambient is {n}")
-            if not any(row):
-                raise ValueError("zero row has no pivot")
-        pivots = self.pivot_columns()
+        if not (all(map(n.__eq__, map(len, rows))) and all(map(any, rows))):
+            for row in rows:
+                if len(row) != n:
+                    raise ValueError(
+                        f"basis row has length {len(row)}, ambient is {n}")
+                if not any(row):
+                    raise ValueError("zero row has no pivot")
+        pivots = tuple(row.index(next(filter(None, row))) for row in rows)
+        object.__setattr__(self, "_pivots", pivots)
+        r = len(rows)
+        columns = list(zip(*rows))
+        if not (list(map(getitem, rows, pivots)).count(c) == r
+                and all(map(lt, pivots, pivots[1:]))
+                and all(columns[p].count(0) == r - 1 for p in pivots)):
+            self._name_form_fault()
+        if gcd(c, *chain.from_iterable(rows)) != 1:
+            raise ValueError(f"denominator {c} is not the least possible")
+
+    def _name_form_fault(self):
+        """Raise for the first row whose pivot entry, pivot order or pivot
+        column breaks the canonical form."""
+        c, pivots = self.denominator, self.pivot_columns()
         for i, (row, p) in enumerate(zip(self.rows, pivots)):
             if row[p] != c:
                 raise ValueError(
@@ -136,8 +155,6 @@ class Subspace:
                 raise ValueError(
                     f"basis is not reduced: pivot column {p} of row {i} "
                     f"is nonzero in an earlier row")
-        if gcd(c, *[a for row in self.rows for a in row]) != 1:
-            raise ValueError(f"denominator {c} is not the least possible")
 
     @cached_property
     def basis(self) -> tuple[Vector, ...]:
@@ -204,11 +221,6 @@ class Subspace:
     def pivot_columns(self) -> tuple[int, ...]:
         return self._pivots
 
-    @cached_property
-    def _pivots(self) -> tuple[int, ...]:
-        return tuple(next(j for j, a in enumerate(row) if a)
-                     for row in self.rows)
-
     def complement_columns(self) -> tuple[int, ...]:
         """Standard coordinates spanning a complement (the non-pivot columns)."""
         pivots = set(self.pivot_columns())
@@ -217,19 +229,28 @@ class Subspace:
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("dimension mismatch")
-        return not any(a for row in self.rows
-                       for _, a in other._integer_residue(row))
+        c, pivots = other.denominator, other.pivot_columns()
+        for row in self.rows:
+            at_pivots = [row[p] for p in pivots]
+            for j, column in other._columns:
+                if c * row[j] != sum(map(mul, at_pivots, column)):
+                    return False
+        return True
+
+
+def _check_lengths(vectors: list, ambient_dim: int) -> None:
+    bad = next(filter(ambient_dim.__ne__, map(len, vectors)), None)
+    if bad is not None:
+        raise ValueError(
+            f"dimension mismatch: vector has length {bad}, "
+            f"ambient is {ambient_dim}"
+        )
 
 
 def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
     """Canonical span of a (possibly redundant) list of vectors."""
     vs = list(vectors)
-    for v in vs:
-        if len(v) != ambient_dim:
-            raise ValueError(
-                f"dimension mismatch: vector has length {len(v)}, "
-                f"ambient is {ambient_dim}"
-            )
+    _check_lengths(vs, ambient_dim)
     return Subspace(ambient_dim, *rref(vs))
 
 
@@ -239,20 +260,24 @@ def full_space(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, 1, eye)
 
 
-def kernel(row_space: Subspace) -> Subspace:
-    """Kernel of the matrix whose rows span row_space, by one elimination.
+def kernel(rows: Iterable[Sequence], ambient_dim: int) -> Subspace:
+    """{x : row . x = 0 for every row}, by one elimination of the rows.
 
-    The rows are eliminated with the columns reversed, so each row a_q of
-    the result is c * e_q plus entries left of q at the other columns only
-    (the pivots q are the lex-last basis of the column matroid).  Then
-    c * e_f - sum_q a_q[f] * e_q, for each other column f, is already the
-    canonical integer RREF of the kernel: it leads with c at f, vanishes at
-    every other such column, and its entries are those of the a_q, whose
-    gcd with c is 1.
+    The rows may be any spanning set, redundant, unreduced, with int or
+    Fraction entries.  They are eliminated once with the columns reversed,
+    so each row a_q of the result is c * e_q plus entries left of q at the
+    other columns only (the pivots q are the lex-last basis of the column
+    matroid).  Then c * e_f - sum_q a_q[f] * e_q, for each other column f,
+    is already the canonical integer RREF of the kernel: it leads with c at
+    f, vanishes at every other such column, and its entries are those of
+    the a_q, whose gcd with c is 1.  The cost follows the rank r of the
+    rows, not the kernel's dimension n - r.
     """
-    n = row_space.ambient_dim
-    c, rows = rref([row[::-1] for row in row_space.rows])
-    last = {n - 1 - row.index(c): row[::-1] for row in rows}
+    n = ambient_dim
+    vs = list(rows)
+    _check_lengths(vs, n)
+    c, reduced = rref([row[::-1] for row in vs])
+    last = {n - 1 - row.index(c): row[::-1] for row in reduced}
     out = []
     for f in range(n):
         if f not in last:

@@ -213,7 +213,7 @@ def dual(p: QuadraticOperad) -> QuadraticOperad:
     # v orthogonal to basis b:  sum_m v_m * diag_m * b_m = 0.
     rows = [tuple(b_m * d for b_m, d in zip(b, diag))
             for b in p.relations.space.rows]
-    rel = RelationModule(target, kernel(span(rows, p.symmetry.dim)))
+    rel = RelationModule(target, kernel(rows, p.symmetry.dim))
     name = f"dual({p.name})" if p.name else None
     return QuadraticOperad(target, rel, None, name)
 

@@ -74,7 +74,8 @@ def act(sigma, x):
 
 def intersection(s, t):
     """S ∩ T = (S^⊥ + T^⊥)^⊥."""
-    return kernel(span(kernel(s).basis + kernel(t).basis, s.ambient_dim))
+    n = s.ambient_dim
+    return kernel(kernel(s.rows, n).rows + kernel(t.rows, n).rows, n)
 
 
 def white_product(r_a, r_b, product):
@@ -89,7 +90,7 @@ def white_product(r_a, r_b, product):
                             product, r_a, r_b):
             flat[i * dim_b:(i + 1) * dim_b] = row
         rows.append(flat)
-    return kernel(span(zip(*rows), 12))
+    return kernel(zip(*rows), 12)
 
 
 def full_module(symmetry):

@@ -283,9 +283,9 @@ def test_search_computes_each_candidates_relations_once(monkeypatch):
     monkeypatch.setattr(algebra_instances, "_CATALOG", catalog)
     kernels = []
 
-    def counted(space):
-        kernels.append(space)
-        return kernel(space)
+    def counted(rows, ambient_dim):
+        kernels.append(rows)
+        return kernel(rows, ambient_dim)
 
     monkeypatch.setattr(algebra_instances, "kernel", counted)
     leib = preset("leib").relations
