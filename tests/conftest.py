@@ -40,6 +40,10 @@ from operad_forge.weight_spaces import (
     decompose_LR,
 )
 
+# Denominators with large coprime factors, so that integer scaling and the
+# gcd normalization meet numbers far beyond machine words.
+DENOMINATORS = (1, 1, 1, 2, 3, 7, 10007, 65537, 2 ** 31 - 1, 999983 * 7919)
+
 ASSOCIATOR = (
     Weight3Element.monomial(LEFT, (1, 2, 3))
     - Weight3Element.monomial(RIGHT, (1, 2, 3))
@@ -76,6 +80,36 @@ def intersection(s, t):
     """S ∩ T = (S^⊥ + T^⊥)^⊥."""
     n = s.ambient_dim
     return kernel(kernel(s.rows, n).rows + kernel(t.rows, n).rows, n)
+
+
+def null_vectors(basis, ncols):
+    """Vectors spanning {x : b . x = 0 for every b in basis}, from a Fraction
+    RREF basis alone: e_f - sum_i b_i[f] e_{p_i} for each column f that is
+    no pivot p_i."""
+    pivots = [next(j for j, e in enumerate(b) if e) for b in basis]
+    null = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(int(j == f)) for j in range(ncols)]
+            for b, p in zip(basis, pivots):
+                v[p] = -b[f]
+            null.append(v)
+    return null
+
+
+def reference_relations(alg):
+    """Rel(A) from the whole table of monomial values: every nonzero
+    column (a, b, c, k) of each of the n**3 triples, then their span, then
+    the Fraction nullspace of that span."""
+    _, values = algebra_instances._monomial_values(alg)
+    columns = set()
+    for abc in itertools.product(range(alg.dim), repeat=3):
+        evals = values(abc)
+        for k in set().union(*evals):
+            columns.add(tuple(e.get(k, 0) for e in evals))
+    columns.discard((0,) * 12)
+    basis = span(columns, 12).basis
+    return RelationModule(REGULAR, span(null_vectors(basis, 12), 12))
 
 
 def white_product(r_a, r_b, product):

@@ -41,9 +41,11 @@ from operad_forge.weight_spaces import (
 )
 
 from conftest import (
+    DENOMINATORS,
     example,
     example_names,
     full_module,
+    reference_relations,
     reference_tensor_instance,
     reference_violations,
     zero_module,
@@ -191,6 +193,66 @@ def test_algebra_relations_of_fixtures():
             unit[c] = 1
             assert check_relations(
                 alg, RelationModule(REGULAR, span([unit], 12))), (name, c)
+
+
+def _fresh(alg):
+    """alg as a new instance object, so that Rel(A) is computed again."""
+    return AlgebraInstance(alg.dim, alg.structure, alg.name)
+
+
+def test_relations_match_table_reference_on_the_catalog_and_tensor_pairs():
+    products = {"identity": MixedProduct.identity(),
+                "bracket": MixedProduct.bracket(),
+                "poisson_twist": MixedProduct.poisson_twist()}
+    for name in example_names():
+        alg = _fresh(example(name))
+        assert algebra_relations(alg) == reference_relations(alg), name
+    pairs = 0
+    for a_name, b_name in itertools.product(example_names(), repeat=2):
+        a, b = example(a_name), example(b_name)
+        if a.dim * b.dim > 9:
+            continue
+        for mu_name, mu in products.items():
+            t = tensor_instance(a, b, mu)
+            assert algebra_relations(t) == reference_relations(t), \
+                (a_name, b_name, mu_name)
+        pairs += 1
+    assert pairs == 70
+
+
+def _random_rational_instance(rng, dim, fill):
+    """Each structure constant nonzero with probability fill, over the
+    large coprime DENOMINATORS."""
+    entries = [(i, j, k, Fraction(rng.randint(-9, 9),
+                                  rng.choice(DENOMINATORS)))
+               for i, j, k in itertools.product(range(1, dim + 1), repeat=3)
+               if rng.random() < fill]
+    return AlgebraInstance.from_entries(dim, entries)
+
+
+def test_relations_match_table_reference_on_random_rational_instances():
+    rng = random.Random(2800)
+    dims = set()
+    for n in range(300):
+        fill = (0.05, 0.25, 0.7)[n % 3]
+        alg = _random_rational_instance(rng, rng.randint(1, 4), fill)
+        got = algebra_relations(alg)
+        assert got == reference_relations(alg), (n, alg.entries())
+        dims.add(got.dim)
+    # from the full module of a near-zero product to very few relations
+    assert {0, 12} < dims and len(dims) >= 6
+
+
+def test_relations_match_table_reference_on_random_nilpotents():
+    rng = random.Random(2801)
+    dims = set()
+    for n in range(300):
+        alg = algebra_instances._random_nilpotent(rng.randint(2, 4), rng,
+                                                  "random")
+        got = algebra_relations(alg)
+        assert got == reference_relations(alg), (n, list(alg.entries()))
+        dims.add(got.dim)
+    assert len(dims) >= 4
 
 
 def test_leib_tilde_fixture():

@@ -17,7 +17,7 @@ from operad_forge.foundation import (
     zero_vector,
 )
 
-from conftest import intersection, rationals
+from conftest import DENOMINATORS, intersection, null_vectors, rationals
 
 
 def test_vec_coerces_mixed_inputs():
@@ -173,6 +173,8 @@ def test_combine_sum_and_intersection():
 def test_span_dimension_mismatch():
     with pytest.raises(ValueError):
         span([[1, 2, 3]], 2)
+    with pytest.raises(ValueError, match="length 3, ambient is 2"):
+        kernel([[1, 2], [1, 2, 3]], 2)
 
 
 def test_kernel_is_the_orthogonal_complement():
@@ -246,6 +248,14 @@ def test_intersection_matches_augmented_rref_reference():
                  id="zero-denominator"),
     pytest.param(-1, [(-1, 0, 0)], "denominator -1 is not positive",
                  id="negative-denominator"),
+    # several faults: the first row's first fault names the form
+    pytest.param(1, [(0, 0, 0), (1, 0)], "zero row",
+                 id="zero-row-before-length"),
+    pytest.param(1, [(1, 3, 0), (0, 1, 0), (0, 0, 2)],
+                 "pivot column 1 of row 1 is nonzero in an earlier row",
+                 id="not-reduced-before-leading"),
+    pytest.param(2, [(0, 2, 0), (2, 0, 0)], "strictly increase",
+                 id="pivot-order-before-non-least-denominator"),
 ])
 def test_subspace_requires_canonical_rref(denominator, rows, message):
     with pytest.raises(ValueError, match=message):
@@ -259,6 +269,45 @@ def test_subspace_accepts_canonical_rref():
     t = Subspace(3, 6, ((6, 0, -1), (0, 6, 2)))
     assert t == span([[2, 1, 0], [0, 3, 1]], 3)
     assert t.basis == (vec([1, 0, "-1/6"]), vec([0, 1, "1/3"]))
+
+
+def test_subspace_accepts_exactly_the_rref_forms():
+    # Small integer (c, rows) draws, half of them from rref and then
+    # possibly broken in one place, so both verdicts occur often.
+    rng = random.Random(2802)
+    verdicts = []
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        rows = [[rng.choice([0, 0, 0, 1, -1, 2, 3]) for _ in range(n)]
+                for _ in range(rng.randint(0, n))]
+        c = rng.randint(-1, 4)
+        if rng.random() < 0.5:
+            c, form = rref(rows)
+            rows = [list(row) for row in form]
+            fault = rng.randrange(6)
+            if fault == 1:
+                c = rng.choice([c + 1, 2 * c, c - 1])
+            elif fault == 2 and rows:
+                row = rng.choice(rows)
+                row[rng.randrange(n)] += rng.choice([-1, 1])
+            elif fault == 3 and len(rows) > 1:
+                i, j = rng.sample(range(len(rows)), 2)
+                rows[i], rows[j] = rows[j], rows[i]
+            elif fault == 4:
+                rows.insert(rng.randint(0, len(rows)), [0] * n)
+            elif fault == 5 and rows:
+                g = rng.choice([-1, 2])
+                rows = [[g * a for a in row] for row in rows]
+                c *= g
+        rows = tuple(tuple(row) for row in rows)
+        try:
+            Subspace(n, c, rows)
+            built = True
+        except ValueError:
+            built = False
+        assert built == (rref(rows) == (c, rows)), (n, c, rows)
+        verdicts.append(built)
+    assert verdicts.count(True) > 600 and verdicts.count(False) > 600
 
 
 # The elimination kernel before it ran on integers: Fraction-per-entry
@@ -304,11 +353,6 @@ def _reference_reduce(s, v):
             f = w[p]
             w = [a - f * b for a, b in zip(w, row)]
     return tuple(w)
-
-
-# Denominators with large coprime factors, so that integer scaling and the
-# gcd normalization meet numbers far beyond machine words.
-DENOMINATORS = (1, 1, 1, 2, 3, 7, 10007, 65537, 2 ** 31 - 1, 999983 * 7919)
 
 
 def _entry(rng):
@@ -379,18 +423,8 @@ def test_unit_residues_are_the_reductions_of_unit_vectors(ncols):
 
 def _reference_nullspace(rows, ncols):
     """The RREF basis of {x : row . x = 0 for every row}, from the Fraction
-    RREF alone: e_f - sum_i b_i[f] e_{p_i} for each column f that is no
-    pivot p_i of the RREF basis b, reduced once more."""
-    basis = _reference_rref(rows)
-    pivots = [next(j for j, e in enumerate(b) if e) for b in basis]
-    null = []
-    for f in range(ncols):
-        if f not in pivots:
-            v = [Fraction(int(j == f)) for j in range(ncols)]
-            for b, p in zip(basis, pivots):
-                v[p] = -b[f]
-            null.append(v)
-    return _reference_rref(null)
+    RREF alone, reduced once more."""
+    return _reference_rref(null_vectors(_reference_rref(rows), ncols))
 
 
 @pytest.mark.parametrize("ncols", range(1, 13))
@@ -403,6 +437,10 @@ def test_kernel_matches_fraction_nullspace_reference(ncols):
         got = kernel(s.rows, ncols)
         want = _reference_nullspace(rows, ncols)
         assert list(got.basis) == want
+        # the raw draws, unreduced and redundant, with Fraction entries
+        raw = kernel(rows, ncols)
+        assert raw == got
+        assert list(raw.basis) == want
         # the integer form is the RREF times its least common denominator
         assert got.denominator == lcm(*[e.denominator for row in want
                                         for e in row])
