@@ -1,29 +1,28 @@
 """Concrete finite-dimensional algebras given by structure constants.
 
 Instances corroborate the symbolic layer.  Every question about an instance
-reads the nonzero structure constants, scaled to integers by the lcm D of
-their denominators.  Rel(A), the regular relations that vanish on every
-basis triple, is the left kernel of the monomial values on the basis
-triples, D**2 times the rational ones, which the scale does not change; it
-is read off the nonzero two-step products alone, so A satisfies P exactly
-when R_P lies in Rel(A), and the counterexample search decides tensor
-products from these modules alone, on integer rows.  Relation checking
-sums each relation over one integer table of monomial values, a triple
-evaluated when first read, to name a failing triple, and only a reported
-residue becomes Fractions.  Tensor instances are built from the nonzero
-constants of both factors.
+reads one integer table of monomial values: the 12 regular monomials on
+each basis triple, built from the nonzero two-step products of the
+structure constants scaled to integers by the lcm D of their denominators,
+so D**2 times the rational values.  Rel(A), the regular relations that
+vanish on every basis triple, is the left kernel of the table's columns,
+which the scale does not change, so A satisfies P exactly when R_P lies in
+Rel(A), and the counterexample search decides tensor products from these
+modules alone, on integer rows.  Relation checking sums each relation over
+the same table to name the failing triples, and only a reported residue
+becomes Fractions.  Tensor instances are built from the nonzero constants
+of both factors.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from math import lcm
 from operator import itemgetter
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .foundation import ZERO, Vector, integer_row, kernel, span
 from .operad_calculus import RelationModule
@@ -86,26 +85,10 @@ class AlgebraInstance:
     @cached_property
     def _relations(self) -> RelationModule:
         """Rel(A), computed on first use; see `algebra_relations`."""
-        _, prod = _scaled_products(self)
-        columns: dict = {}
-
-        def add(shape, leaves, value):
-            # value is D**2 times the product on leaves; each monomial of
-            # that shape reads it on one basis triple.
-            value = [(k, v) for k, v in value.items() if v]
-            for m, place in _PLACES[shape]:
-                abc = place(leaves)
-                for k, v in value:
-                    columns.setdefault((abc, k), [0] * 12)[m] = v
-
-        for a, row in enumerate(prod):
-            for b, ab in enumerate(row):
-                if ab:
-                    for x in range(self.dim):
-                        add(LEFT, (a, b, x), _times(prod, ab, {x: 1}))
-                        add(RIGHT, (x, a, b), _times(prod, {x: 1}, ab))
+        _, table = _monomial_table(self)
         return RelationModule(REGULAR, kernel(
-            {tuple(column) for column in columns.values()}, 12))
+            {tuple(column) for columns in table.values()
+             for column in columns.values()}, 12))
 
     @classmethod
     def from_entries(cls, dim: int, entries, name=None) -> "AlgebraInstance":
@@ -215,85 +198,74 @@ def check_relations(alg: AlgebraInstance,
     return list(_violations(alg, relations))
 
 
-# Each monomial's shape, and which of (e_a, e_b, e_c) fill its leaves.
-_READS = [(m.shape, itemgetter(*(label - 1 for label in m.labels)))
-          for m in MONOMIALS]
-
 # _PLACES[shape] lists, for each monomial of that shape, its index and the
-# basis triple (a, b, c) on which it reads given leaves: the inverse of its
-# entry in _READS.
+# basis triple (a, b, c) on which it reads given leaves.
 _PLACES = {shape: [(n, itemgetter(*[m.labels.index(p) for p in (1, 2, 3)]))
                    for n, m in enumerate(MONOMIALS) if m.shape is shape]
            for shape in (LEFT, RIGHT)}
 
 
-def _scaled_products(alg: AlgebraInstance) -> tuple[int, list]:
-    """(D, prod): prod[i][j] is D e_i e_j as a sparse {k: int} dict, D the
-    lcm of the denominators of the nonzero structure constants."""
+def _monomial_table(alg: AlgebraInstance) -> tuple[int, dict]:
+    """(scale, table): table[(a, b, c)][k] lists scale times coordinate k
+    of each of the 12 regular monomials evaluated on (e_a, e_b, e_c),
+    0-based.
+
+    The nonzero structure constants are scaled to integers by the lcm D of
+    their denominators, as sparse {k: int} products; every monomial is two
+    products deep, so scale is D**2.  Only the nonzero two-step products
+    fill the table: each nonzero (e_a e_b) e_c and e_a (e_b e_c) is
+    computed once, and its coordinates go to the 6 monomials of its shape,
+    each at the basis triple on which that monomial reads those leaves.
+    Triples and coordinates where all 12 values are 0 are left out.
+    """
     nonzero = [[[(k, v) for k, v in enumerate(cell) if v] for cell in row]
                for row in alg.structure]
     d = lcm(*[v.denominator for row in nonzero for cell in row
               for _, v in cell])
-    return d, [[{k: v.numerator * (d // v.denominator) for k, v in cell}
-                for cell in row] for row in nonzero]
+    prod = [[{k: v.numerator * (d // v.denominator) for k, v in cell}
+             for cell in row] for row in nonzero]
+    table: dict = {}
 
+    def add(shape, leaves, value):
+        value = [(k, v) for k, v in value.items() if v]
+        if value:
+            for m, place in _PLACES[shape]:
+                columns = table.setdefault(place(leaves), {})
+                for k, v in value:
+                    columns.setdefault(k, [0] * 12)[m] = v
 
-def _times(prod: list, u: dict, v: dict) -> dict:
-    """u v for sparse u and v, through the scaled basis products."""
-    out: dict = {}
-    for i, a in u.items():
-        for j, b in v.items():
-            for k, c in prod[i][j].items():
-                out[k] = out.get(k, 0) + a * b * c
-    return out
-
-
-def _monomial_values(alg: AlgebraInstance) -> tuple[int, Callable]:
-    """(scale, values): values((a, b, c)) lists scale times each of the 12
-    regular monomials evaluated on (e_a, e_b, e_c), 0-based, as a sparse
-    {k: int} dict.
-
-    The structure constants are scaled to integers by the lcm D of their
-    denominators (`_scaled_products`); every monomial is two products deep,
-    so scale is D**2.  A triple is evaluated when first asked for, and it
-    and each (e_a e_b) e_c and e_a (e_b e_c) are computed at most once per
-    call; nothing is kept on the instance.
-    """
-    d, prod = _scaled_products(alg)
-
-    @cache
-    def value(shape, abc: tuple[int, int, int]) -> dict:
-        a, b, c = abc
-        if shape is LEFT:
-            return _times(prod, prod[a][b], {c: 1})
-        return _times(prod, {a: 1}, prod[b][c])
-
-    @cache
-    def values(abc: tuple[int, int, int]) -> list[dict]:
-        return [value(shape, pick(abc)) for shape, pick in _READS]
-
-    return d * d, values
+    for a, row in enumerate(prod):
+        for b, ab in enumerate(row):
+            if ab:
+                for x in range(alg.dim):
+                    left, right = {}, {}  # (e_a e_b) e_x and e_x (e_a e_b)
+                    for i, u in ab.items():
+                        for k, v in prod[i][x].items():
+                            left[k] = left.get(k, 0) + u * v
+                        for k, v in prod[x][i].items():
+                            right[k] = right.get(k, 0) + u * v
+                    add(LEFT, (a, b, x), left)
+                    add(RIGHT, (x, a, b), right)
+    return d * d, table
 
 
 def _violations(alg: AlgebraInstance,
                 relations: Sequence[Weight3Element]) -> Iterator[Violation]:
-    """Regular relations failing on basis triples, relation by relation.
+    """Regular relations failing on basis triples, relation by relation,
+    the triples in lexicographic order.
 
-    Triples are evaluated as the loop reaches them, so the first violation
-    costs only the triples before it.  The sums run on integers, and a
-    residue becomes Fractions only when it is yielded.
+    Each relation is summed over the integer columns of `_monomial_table`,
+    and a residue becomes Fractions only when it is yielded.
     """
-    scale, values = _monomial_values(alg)
-    triples = list(itertools.product(range(alg.dim), repeat=3))
+    scale, table = _monomial_table(alg)
+    triples = sorted(table)
     for x in relations:
         w, d = integer_row(x.coords)
         support = [(n, c) for n, c in enumerate(w) if c]
         for abc in triples:
-            evals = values(abc)
             total = [0] * alg.dim
-            for n, c in support:
-                for k, v in evals[n].items():
-                    total[k] += c * v
+            for k, column in table[abc].items():
+                total[k] = sum(c * column[n] for n, c in support)
             if any(total):
                 yield Violation(x, tuple(t + 1 for t in abc),
                                 tuple(Fraction(v, scale * d) if v else ZERO
@@ -305,14 +277,11 @@ def algebra_relations(alg: AlgebraInstance) -> RelationModule:
 
     Rel(A) is the left kernel of the 12 x n^4 evaluation matrix, whose
     column (a, b, c, k) holds coordinate k of each monomial evaluated on
-    (e_a, e_b, e_c), here D**2 times it.  Only the nonzero two-step
-    products fill it: each nonzero (e_a e_b) e_c and e_a (e_b e_c) is
-    computed once, and its coordinates go to the 6 monomials of its shape,
-    each in the column of the basis triple on which that monomial reads
-    those leaves.  All-zero columns are never built and repeated ones are
-    dropped, which leaves the kernel unchanged, and `kernel` reads Rel(A)
-    off one elimination of the columns.  The set of basis triples is
-    closed under permutation, so Rel(A) is Sigma_3-invariant.  It is
+    (e_a, e_b, e_c), here D**2 times it: the columns of
+    `_monomial_table`.  All-zero columns are never built and repeated
+    ones are dropped, which leaves the kernel unchanged, and `kernel` reads
+    Rel(A) off one elimination of the columns.  The set of basis triples
+    is closed under permutation, so Rel(A) is Sigma_3-invariant.  It is
     computed once per instance object.
     """
     return alg._relations
@@ -456,8 +425,7 @@ def search_counterexample(r_a: RelationModule, r_b: RelationModule,
     and only the first failing pair is tensored, its first violation in
     `check_relations` order becoming the witness; so a seed reports the
     same witness as evaluating every tensor product would.  The targets'
-    Fraction basis is built for that witness only, and its evaluation
-    stops at the failing triple.
+    Fraction basis is built for that witness only.
     """
     if not 2 <= max_dim <= 4:
         raise ValueError(f"max_dim must be between 2 and 4, got {max_dim}")

@@ -48,7 +48,7 @@ from .tensor_closure import (
     minimal_companion,
     twisted_poisson_check,
 )
-from .weight_spaces import ANTICOMMUTATIVE, COMMUTATIVE, REGULAR, act_vector
+from .weight_spaces import ANTICOMMUTATIVE, COMMUTATIVE, act_vector
 
 SCHEMA_VERSION = 1
 
@@ -259,11 +259,6 @@ def _cmd_twisted_poisson(args) -> int:
 def _cmd_negative(args) -> int:
     p = _load_operad(args.p)
     q = _load_operad(args.q)
-    # Lifts decide closure only against a comm --q (see lift_closure).
-    if p.symmetry is not REGULAR and q.symmetry is not COMMUTATIVE:
-        raise ValueError(
-            f"--p of class {p.symmetry.value} is checked only against "
-            f"--q of class comm, got {q.symmetry.value}")
     ok, certs = lift_closure(p, q.relations)
     # Verified means the non-closure claim holds: some relation leaks.
     report = Report("non-closure verification", verified=not ok,

@@ -245,8 +245,8 @@ def lift_closure(p: QuadraticOperad, r_b: RelationModule
     """
     if p.symmetry is not REGULAR and r_b.symmetry is not COMMUTATIVE:
         raise ValueError(
-            f"a {p.symmetry.value} P is decided through lifts only against "
-            f"a comm R_B, got {r_b.symmetry.value}")
+            f"a P of class {p.symmetry.value} is decided through lifts only "
+            f"against an R_B of class comm, got {r_b.symmetry.value}")
     return closure_holds(
         p.relations, r_b, MixedProduct.identity(),
         [lift(x) for x in p.relations.basis_elements()],

@@ -97,19 +97,64 @@ def null_vectors(basis, ncols):
     return null
 
 
+def _reference_table(alg):
+    """{abc: the 12 regular monomials evaluated on (e_a, e_b, e_c)} over
+    the n**3 ordered triples, 0-based, in lexicographic order: each value
+    a sparse {k: Fraction} dict, computed a triple at a time through the
+    instance's own nonzero structure constants."""
+    prod = [[{k: v for k, v in enumerate(cell) if v} for cell in row]
+            for row in alg.structure]
+
+    def times(u, v):
+        out = {}
+        for i, x in u.items():
+            for j, y in v.items():
+                for k, z in prod[i][j].items():
+                    out[k] = out.get(k, 0) + x * y * z
+        return out
+
+    def values(abc):
+        out = []
+        for m in MONOMIALS:
+            i, j, k = (abc[label - 1] for label in m.labels)
+            out.append(times(prod[i][j], {k: 1}) if m.shape is LEFT
+                       else times({i: 1}, prod[j][k]))
+        return out
+
+    return {abc: values(abc)
+            for abc in itertools.product(range(alg.dim), repeat=3)}
+
+
 def reference_relations(alg):
     """Rel(A) from the whole table of monomial values: every nonzero
     column (a, b, c, k) of each of the n**3 triples, then their span, then
     the Fraction nullspace of that span."""
-    _, values = algebra_instances._monomial_values(alg)
     columns = set()
-    for abc in itertools.product(range(alg.dim), repeat=3):
-        evals = values(abc)
+    for evals in _reference_table(alg).values():
         for k in set().union(*evals):
             columns.add(tuple(e.get(k, 0) for e in evals))
     columns.discard((0,) * 12)
     basis = span(columns, 12).basis
     return RelationModule(REGULAR, span(null_vectors(basis, 12), 12))
+
+
+def reference_table_violations(alg, relations):
+    """Every regular relation summed over the whole table of monomial
+    values on every ordered basis triple, relation by relation, as a list
+    of Violations."""
+    table = _reference_table(alg)
+    out = []
+    for x in relations:
+        for abc, evals in table.items():
+            total = [Fraction(0)] * alg.dim
+            for c, value in zip(x.coords, evals):
+                if c:
+                    for k, v in value.items():
+                        total[k] += c * v
+            if any(total):
+                out.append(Violation(x, tuple(t + 1 for t in abc),
+                                     tuple(total)))
+    return out
 
 
 def white_product(r_a, r_b, product):

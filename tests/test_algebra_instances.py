@@ -46,6 +46,7 @@ from conftest import (
     example_names,
     full_module,
     reference_relations,
+    reference_table_violations,
     reference_tensor_instance,
     reference_violations,
     zero_module,
@@ -399,36 +400,16 @@ def test_exhaustive_closed_search_finds_nothing():
                                  max_dim=2) is None
 
 
-def test_witness_stops_at_its_first_violation(monkeypatch):
-    # Triples are evaluated on demand: the witness's tensor product is read
-    # only up to its first failing triple, not over all of its n^3 triples.
-    evaluated = []  # (instance, the triples evaluated on it)
-    monomial_values = algebra_instances._monomial_values
-
-    def counted(alg):
-        scale, values = monomial_values(alg)
-        seen = set()
-        evaluated.append((alg, seen))
-
-        def counting(abc):
-            seen.add(abc)
-            return values(abc)
-
-        return scale, counting
-
-    monkeypatch.setattr(algebra_instances, "_monomial_values", counted)
+def test_witness_stops_at_its_first_violation():
+    # The search returns the first violation of its failing tensor product
+    # in `check_relations` order, on the first target relation.
     leib = preset("leib").relations
     targets = leib.basis_elements()
     found = search_counterexample(leib, preset("zinb").relations, targets,
                                   max_dim=4, seed=0)
-    t, seen = evaluated[-1]
-    assert t == tensor_instance(found.left, found.right,
-                                MixedProduct.identity())
+    t = tensor_instance(found.left, found.right, MixedProduct.identity())
+    assert found.violation == check_relations(t, leib)[0]
     assert found.violation.relation == targets[0]
-    triples = list(itertools.product(range(t.dim), repeat=3))
-    first = triples.index(tuple(x - 1 for x in found.violation.triple))
-    assert seen == set(triples[:first + 1])
-    assert len(seen) < len(triples)
 
 
 # Constants whose denominators are coprime, so the instances' integer scale
@@ -444,7 +425,8 @@ def _rescaled(alg):
 
 
 def _assert_first_violation(t, r, want):
-    """The lazy witness is want's first violation, with Fraction entries."""
+    """The search's witness, the first violation `_violations` yields, is
+    want's first, with Fraction entries."""
     got = next(algebra_instances._violations(t, r.basis_elements()), None)
     if not want:
         assert got is None
@@ -468,11 +450,14 @@ def test_witness_is_the_first_violation_of_check_relations():
             want = reference_violations(t, r.basis_elements())
             assert check_relations(t, r) == want
             found += _assert_first_violation(t, r, want)
-    # each fixture against its rescaled copy, up to dimension 16
+    # each fixture against its rescaled copy, up to dimension 16, against
+    # the sparse Fraction table
     for a, b in zip(catalog, rescaled):
         t = tensor_instance(a, b, MixedProduct.identity())
         for r in relations:
-            found += _assert_first_violation(t, r, check_relations(t, r))
+            want = reference_table_violations(t, r.basis_elements())
+            assert check_relations(t, r) == want
+            found += _assert_first_violation(t, r, want)
     assert found > 70
 
 

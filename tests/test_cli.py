@@ -240,8 +240,8 @@ def test_verify_negative_symmetric_p_needs_commutative_q(capsys):
                           "--q", "lie")
     assert code == 2
     assert out == ""
-    assert err == ("error: --p of class anticomm is checked only against "
-                   "--q of class comm, got anticomm\n")
+    assert err == ("error: a P of class anticomm is decided through lifts "
+                   "only against an R_B of class comm, got anticomm\n")
 
 
 @pytest.mark.parametrize("golden", GOLDENS)

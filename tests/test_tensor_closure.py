@@ -747,6 +747,6 @@ def test_lift_closure_refuses_a_symmetric_p_against_non_commutative_r_b(
     p = preset(p_name)
     rel = full_module(REGULAR) if r_b == "regular" else preset(r_b).relations
     with pytest.raises(ValueError, match=(
-            f"^a {p.symmetry.value} P is decided through lifts only against "
-            f"a comm R_B, got {rel.symmetry.value}$")):
+            f"^a P of class {p.symmetry.value} is decided through lifts only "
+            f"against an R_B of class comm, got {rel.symmetry.value}$")):
         lift_closure(p, rel)
