@@ -105,20 +105,21 @@ def _reference_table(alg):
     prod = [[{k: v for k, v in enumerate(cell) if v} for cell in row]
             for row in alg.structure]
 
-    def times(u, v):
+    def apply(u, row):
+        """The sum over p of u[p] times the sparse vector row(p)."""
         out = {}
-        for i, x in u.items():
-            for j, y in v.items():
-                for k, z in prod[i][j].items():
-                    out[k] = out.get(k, 0) + x * y * z
+        for p, x in u.items():
+            for k, y in row(p).items():
+                out[k] = out.get(k, 0) + x * y
         return out
 
     def values(abc):
         out = []
         for m in MONOMIALS:
             i, j, k = (abc[label - 1] for label in m.labels)
-            out.append(times(prod[i][j], {k: 1}) if m.shape is LEFT
-                       else times({i: 1}, prod[j][k]))
+            out.append(apply(prod[i][j], lambda p: prod[p][k])
+                       if m.shape is LEFT
+                       else apply(prod[j][k], lambda p: prod[i][p]))
         return out
 
     return {abc: values(abc)
